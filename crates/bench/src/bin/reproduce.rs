@@ -415,16 +415,15 @@ fn bench_eval_snapshot() {
     // iterations; the spacing sets the frontier-vs-dense gap — each
     // iteration flips ~2 worlds per goal segment, so wider segments
     // mean more iterations at the same total flip count while every
-    // dense re-sweep still pays the full 2²⁰ worlds). `reachability_1m` is the compiled plan — frontier
-    // iteration under the default knob, dense re-sweeps under
-    // `PORTNUM_FIXPOINT=dense` — and `reachability_1m_kleene` is the
-    // whole-model re-evaluation reference. Both engines run the same
-    // Kleene iteration sequence, so the total-time ratio *is* the
-    // per-iteration ratio; the acceptance gate requires the frontier
-    // engine to beat whole-model re-evaluation ≥ 3× (compared on
-    // minima, reported as medians, like the live-update rows).
+    // dense re-sweep still pays the full 2²⁰ worlds). `reachability_1m`
+    // is the compiled plan's frontier iteration and
+    // `reachability_1m_kleene` the whole-model re-evaluation reference.
+    // Both engines run the same Kleene iteration sequence, so the
+    // total-time ratio *is* the per-iteration ratio; the acceptance
+    // gate requires the frontier engine to beat whole-model
+    // re-evaluation ≥ 3× (compared on minima, reported as medians, like
+    // the live-update rows).
     {
-        use portnum_logic::plan::{fixpoint_override, FixpointOverride};
         let n = 1usize << 20;
         let k = workloads::huge_reachability(n, 100);
         let f = workloads::reachability_formula();
@@ -452,10 +451,6 @@ fn bench_eval_snapshot() {
             let truth = evaluate_packed_recursive(&k, &f).expect("reachability evaluates");
             assert_eq!(&truth, &reference[0]);
         });
-        let engine = match fixpoint_override() {
-            FixpointOverride::Frontier => "frontier",
-            FixpointOverride::Dense => "dense",
-        };
         for (case, median) in
             [("reachability_1m", plan_median), ("reachability_1m_kleene", kleene_median)]
         {
@@ -463,23 +458,20 @@ fn bench_eval_snapshot() {
             let _ = writeln!(
                 json,
                 "{{\"bench\":\"eval\",\"workload\":\"path1m\",\"case\":\"{}\",\"worlds\":{},\
-                 \"median_us\":{:.1},\"ones\":{},\"iters\":{},\"engine\":\"{}\"}}",
+                 \"median_us\":{:.1},\"ones\":{},\"iters\":{}}}",
                 case,
                 n,
                 median,
                 ones,
-                iters,
-                engine
+                iters
             );
         }
-        if fixpoint_override() == FixpointOverride::Frontier {
-            assert!(
-                plan_min * 3.0 <= kleene_min,
-                "frontier fixpoint iteration must beat whole-model re-evaluation ≥ 3× \
-                 on the million-world path: plan {plan_min:.1}µs vs kleene {kleene_min:.1}µs \
-                 over {iters} iterations (medians {plan_median:.1}µs / {kleene_median:.1}µs)"
-            );
-        }
+        assert!(
+            plan_min * 3.0 <= kleene_min,
+            "frontier fixpoint iteration must beat whole-model re-evaluation ≥ 3× \
+             on the million-world path: plan {plan_min:.1}µs vs kleene {kleene_min:.1}µs \
+             over {iters} iterations (medians {plan_median:.1}µs / {kleene_median:.1}µs)"
+        );
     }
     // Cancellation latency: wall time from `CancelToken::cancel()` to
     // the `Interrupted` return of a controlled execution, while the
@@ -538,7 +530,6 @@ fn bench_eval_snapshot() {
     // must win by ≥ 5× — the PR's headline acceptance number.
     {
         use portnum_logic::plan::ModelChecker;
-        use portnum_logic::plan::{delta_override, DeltaOverride};
         use std::time::Instant;
         let flips = 10;
         let suite: Vec<Formula> = (1..=4).map(workloads::nested_diamonds).collect();
@@ -643,7 +634,7 @@ fn bench_eval_snapshot() {
                     flips
                 );
             }
-            if w.name == "path1024" && delta_override() == DeltaOverride::Repair {
+            if w.name == "path1024" {
                 assert!(
                     repair_min * 5.0 <= rebuild_min,
                     "localized live update must repair ≥ 5× faster than rebuild: \

@@ -94,28 +94,48 @@
 //!
 //! * the **first** iteration evaluates the body densely (every op,
 //!   every world), exactly like the straight-line executor;
-//! * every later iteration re-evaluates only the **dirty frontier**:
-//!   per body op, the candidate worlds whose value can have moved
-//!   given the flips recorded one operand upstream (the accumulator's
-//!   flips seed `Var`; a diamond's candidates are its flipped inner
-//!   worlds' CSC predecessors), with the same n/4 dense-fallback
-//!   threshold as [`ModelChecker::resume`]'s delta repair. An
-//!   iteration therefore costs O(frontier), not O(model): a monotone
-//!   iteration flips each world at most once, so a path-shaped
-//!   reachability query totals O(edges) across *all* its iterations
-//!   instead of O(n · iterations).
+//! * every later iteration re-evaluates only the **dirty frontier**
+//!   through the change-propagation kernel (below), with the
+//!   accumulator's flips seeding `Var`. An iteration therefore costs
+//!   O(frontier), not O(model): a monotone iteration flips each world
+//!   at most once, so a path-shaped reachability query totals O(edges)
+//!   across *all* its iterations instead of O(n · iterations).
 //!
-//! `PORTNUM_FIXPOINT=dense` ([`fixpoint_override`]) pins every
-//! iteration to the dense pass — the always-correct baseline the
-//! frontier path is differentially pinned against and benchmarked
-//! over. Fixpoint instructions price into the shared work currency at
-//! twice their body's per-iteration work plus an `n/8` flip term (the
-//! flip-once amortization above), which keeps
+//! The whole-body Kleene loop of
+//! [`evaluate_packed_recursive`](crate::evaluate_packed_recursive) is
+//! the reference the frontier engine is differentially pinned against
+//! and benchmarked over. Fixpoint instructions price into the shared
+//! work currency at twice their body's per-iteration work plus an
+//! `n/8` flip term (the flip-once amortization above), which keeps
 //! [`ModelChecker::estimate_work`] — and therefore serve admission —
 //! honest about iterate-until-stable batches. Fixpoint instructions
 //! run on the sequential instruction path (their *body* ops still
 //! chunk over the pool); scheduling one as a level-parallel chunk
 //! would nest pool dispatches from a worker thread.
+//!
+//! # Change propagation
+//!
+//! Frontier iteration and [`ModelChecker::resume`]'s delta repair are
+//! one algorithm — re-evaluate only the worlds whose operands flipped —
+//! and share one per-instruction kernel. Given an op, its operands'
+//! flip lists and the set of worlds a model delta touched (empty inside
+//! a fixpoint run), it picks the *candidate* worlds whose value can
+//! have moved:
+//!
+//! * `Prop`: the touched worlds (their valuation may have changed);
+//! * `Not`/`And`/`Or`: the operands' flips;
+//! * `⟨r⟩`: the touched worlds (their `r`-rows may have changed) plus
+//!   the `r`-predecessors ([`Kripke::predecessors_csc`]) of the inner
+//!   flips;
+//! * a nested or top-level fixpoint reads the model at unbounded modal
+//!   depth, so it re-runs wholesale when anything was touched or one
+//!   of its external inputs flipped.
+//!
+//! Past a quarter of the universe the kernel re-evaluates the op
+//! densely and reads the flips off a word diff; below it, it patches
+//! the candidates one point at a time. Either way it records the op's
+//! flips for its consumers, so a change the formula cannot observe
+//! dies out after one ring.
 //!
 //! # Parallel execution
 //!
@@ -266,70 +286,6 @@ pub fn reverse_override() -> ReverseOverride {
     })
 }
 
-/// How the `PORTNUM_DELTA` environment variable steers
-/// [`ModelChecker::resume`] after a [`crate::ModelDelta`], parsed once
-/// per process by [`delta_override`]. The escape hatch exists so a
-/// repair bug can be ruled in or out in production without a rebuild:
-/// `PORTNUM_DELTA=rebuild` drops every cached truth vector (and the
-/// cached quotient) at resume time and recomputes on demand, which is
-/// always correct and never fast.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaOverride {
-    /// Incrementally repair cached truth vectors over the dirty
-    /// frontier (the default).
-    Repair,
-    /// Drop all caches at resume; later checks recompute from scratch.
-    Rebuild,
-}
-
-/// How `PORTNUM_DELTA` steers cache handling across deltas: `repair`
-/// (default) or `rebuild`. Parsed once per process; like
-/// `PORTNUM_REVERSE` and `PORTNUM_REFINE`, an unrecognised value
-/// panics — a CI job pinning one implementation must not silently run
-/// another.
-pub fn delta_override() -> DeltaOverride {
-    static MODE: OnceLock<DeltaOverride> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("PORTNUM_DELTA").as_deref() {
-        Ok("rebuild") => DeltaOverride::Rebuild,
-        Ok("repair") | Err(_) => DeltaOverride::Repair,
-        Ok(other) => {
-            panic!("unrecognised PORTNUM_DELTA value {other:?} (use repair or rebuild)")
-        }
-    })
-}
-
-/// How the `PORTNUM_FIXPOINT` environment variable steers the
-/// iterate-until-stable executor (`eval_fixpoint_into`), parsed once
-/// per process by [`fixpoint_override`]. `dense` re-evaluates the
-/// whole body every Kleene iteration — always correct, never fast:
-/// the baseline the frontier path is differentially pinned against
-/// (the CI matrix drives the whole suite down it) and benchmarked
-/// over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FixpointOverride {
-    /// After the first iteration, re-evaluate only the dirty frontier,
-    /// with the per-op n/4 dense fallback (the default).
-    Frontier,
-    /// Re-evaluate the whole body every iteration.
-    Dense,
-}
-
-/// How `PORTNUM_FIXPOINT` steers fixpoint iteration: `frontier`
-/// (default) or `dense`. Parsed once per process; like
-/// `PORTNUM_REVERSE` and `PORTNUM_DELTA`, an unrecognised value
-/// panics — a CI job pinning one implementation must not silently run
-/// another.
-pub fn fixpoint_override() -> FixpointOverride {
-    static MODE: OnceLock<FixpointOverride> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("PORTNUM_FIXPOINT").as_deref() {
-        Ok("dense") => FixpointOverride::Dense,
-        Ok("frontier") | Err(_) => FixpointOverride::Frontier,
-        Ok(other) => {
-            panic!("unrecognised PORTNUM_FIXPOINT value {other:?} (use frontier or dense)")
-        }
-    })
-}
-
 /// One plan instruction; operands are earlier instruction ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Op {
@@ -439,12 +395,12 @@ pub struct ExecStats {
     pub fixpoint_iters: usize,
     /// World-bits re-evaluated by frontier iteration passes: the
     /// point-repaired candidate worlds, plus `n` for every body op
-    /// that fell back to a dense recompute. The o(n · iters) figure
+    /// that fell back to a dense recompute (a re-run nested fixpoint
+    /// included). The o(n · iters) figure
     /// the differential suite pins on path-shaped models.
     pub fixpoint_frontier_worlds: usize,
     /// Whole-body dense evaluation passes: the first iteration of
-    /// every fixpoint, and every iteration under
-    /// `PORTNUM_FIXPOINT=dense`.
+    /// every fixpoint run.
     pub fixpoint_dense_passes: usize,
     /// The pool's measured per-dispatch coordination cost in
     /// nanoseconds ([`WorkerPool::dispatch_cost_ns`], calibrated once
@@ -1433,197 +1389,154 @@ fn body_dense_pass(
     Ok(())
 }
 
-/// One frontier pass over a fixpoint body: repairs the persistent
-/// per-op values in place, re-evaluating each op only at its
-/// *candidate* worlds — those whose value can have moved given the
-/// flips recorded one operand upstream (`x_changed`, the accumulator's
-/// flips, seeds the `Var` op). Semantically
-/// `eval_op_into(..).get(v)` per candidate, so the repaired values are
-/// bit-identical to a dense pass — the contract the differential µ
-/// suite pins. Flips land in `changed[i]` (ascending, deduplicated);
-/// `changed[body.root]` is the accumulator's next flip set.
+/// What one [`propagate_op`] call did, for its callers' accounting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Propagated {
+    /// No candidate worlds: the value cannot have moved.
+    Clean,
+    /// Patched point by point over this many candidate worlds.
+    Points(usize),
+    /// Re-evaluated wholesale: past the n/4 crossover, or a stale
+    /// fixpoint re-run.
+    Dense,
+}
+
+/// The change-propagation kernel shared by frontier iteration and
+/// delta repair (see the module docs): brings `cur`, the op's value
+/// before the change, up to date and records in `flips` the worlds
+/// whose bit moved. `operand` resolves operand values *after* the
+/// change and `flips_of` their flip lists; `touched` is the sorted set
+/// of worlds a model delta touched, empty inside a fixpoint run.
+///
+/// Semantically `eval_op_into(..).get(v)` per candidate, so the result
+/// is bit-identical to a fresh evaluation — the contract the
+/// differential delta and µ suites pin. `Var` never reaches the
+/// kernel: the fixpoint executor resolves it to the accumulator.
 #[allow(clippy::too_many_arguments)]
-fn body_frontier_pass(
+fn propagate_op<'a>(
     model: &Kripke,
     mode: DiamondMode,
     bodies: &[FixBody],
-    body: &FixBody,
-    x: &Bitset,
-    x_changed: &[u32],
-    vals: &mut [Bitset],
-    changed: &mut [Vec<u32>],
+    op: Op,
+    operand: &dyn Fn(u32) -> &'a Bitset,
+    flips_of: &dyn Fn(u32) -> &'a [u32],
+    touched: &[u32],
+    cur: &mut Bitset,
+    flips: &mut Vec<u32>,
     stats: &mut ExecStats,
     ctl: &ExecControl,
     threads: &(dyn Fn(usize) -> usize + Sync),
-) -> Result<(), Interrupted> {
-    let n = model.len();
-    let dense = |d: usize| d * 4 >= n;
-    for i in 0..body.ops.len() {
-        let op = body.ops[i];
-        // A nested fixpoint re-runs whenever any of its external
-        // inputs flipped (its own executor starts dense again — its
-        // accumulator restarts from ⊥/⊤, so stale per-iteration state
-        // cannot be reused); the flips its consumers need fall out of
-        // a word diff.
-        if let Op::Fixpoint(b) = op {
-            let stale = bodies[b as usize].args.iter().any(|&a| !changed[a as usize].is_empty());
-            let (prev_changed, rest_changed) = changed.split_at_mut(i);
-            let flips = &mut rest_changed[0];
-            flips.clear();
-            if stale {
-                let (prev, rest) = vals.split_at_mut(i);
-                let cur = &mut rest[0];
-                let mut next = Bitset::default();
-                eval_fixpoint_into(
-                    model,
-                    mode,
-                    bodies,
-                    b,
-                    &|a| &prev[a as usize],
-                    &mut next,
-                    stats,
-                    ctl,
-                    threads,
-                )?;
-                cur.for_each_difference(&next, |v| flips.push(v as u32));
-                *cur = next;
-            }
-            let _ = prev_changed;
-            continue;
+) -> Result<Propagated, Interrupted> {
+    flips.clear();
+    // Candidate worlds, ascending and deduplicated; `None` is all of
+    // them.
+    let candidates = match op {
+        // Constants, and external inputs fixed for a whole fixpoint run.
+        Op::Top | Op::Bottom | Op::Arg(_) => Some(Vec::new()),
+        Op::Prop(_) => Some(touched.to_vec()),
+        Op::Not(a) => Some(flips_of(a).to_vec()),
+        Op::And(a, b) | Op::Or(a, b) => {
+            let mut c = [flips_of(a), flips_of(b)].concat();
+            c.sort_unstable();
+            c.dedup();
+            Some(c)
         }
-        // Candidate dirty worlds, ascending and deduplicated.
-        let candidates: Vec<u32> = match op {
-            // Inputs are fixed for the whole fixpoint run: the model
-            // does not change between iterations, and external args
-            // are resolved once at entry.
-            Op::Top | Op::Bottom | Op::Prop(_) | Op::Arg(_) => Vec::new(),
-            Op::Var => x_changed.to_vec(),
-            Op::Not(a) => changed[a as usize].clone(),
-            Op::And(a, b) | Op::Or(a, b) => {
-                let mut c: Vec<u32> =
-                    changed[a as usize].iter().chain(&changed[b as usize]).copied().collect();
+        Op::Diamond { rel, inner, .. } => {
+            let mut c = touched.to_vec();
+            if !flips_of(inner).is_empty() {
+                let csc = model.predecessors_csc(rel as usize);
+                for &w in flips_of(inner) {
+                    c.extend_from_slice(csc.row(w as usize));
+                }
                 c.sort_unstable();
                 c.dedup();
-                c
             }
-            Op::Diamond { rel, inner, .. } => {
-                let inner_changed = &changed[inner as usize];
-                let mut c = Vec::new();
-                if !inner_changed.is_empty() {
-                    let csc = model.predecessors_csc(rel as usize);
-                    for &w in inner_changed {
-                        c.extend_from_slice(csc.row(w as usize));
-                    }
-                    c.sort_unstable();
-                    c.dedup();
-                }
-                c
-            }
-            Op::Fixpoint(_) => unreachable!("handled above"),
-        };
-        let (_, rest_changed) = changed.split_at_mut(i);
-        let flips = &mut rest_changed[0];
-        flips.clear();
-        if candidates.is_empty() {
-            continue;
+            Some(c)
         }
-        let (prev, rest) = vals.split_at_mut(i);
-        let cur = &mut rest[0];
-        if dense(candidates.len()) {
-            // Past a quarter of the universe the vectorized sweep
-            // beats point lookups — the same crossover as delta
-            // repair; the flips still come cheap off a word diff.
-            stats.fixpoint_frontier_worlds += n;
+        // A fixpoint reads the model at unbounded modal depth, so no
+        // candidate bound holds: it re-runs from ⊥/⊤ when anything it
+        // reads changed.
+        Op::Fixpoint(b) => {
+            let stale = !touched.is_empty()
+                || bodies[b as usize].args.iter().any(|&a| !flips_of(a).is_empty());
+            (!stale).then(Vec::new)
+        }
+        Op::Var => unreachable!("the fixpoint executor resolves Var to the accumulator"),
+    };
+    let candidates = match candidates {
+        Some(c) if c.is_empty() => return Ok(Propagated::Clean),
+        Some(c) if c.len() * 4 < model.len() => c,
+        _ => {
+            // Past a quarter of the universe the vectorized sweep beats
+            // point lookups; the flips still come cheap off a word diff.
             let mut next = Bitset::default();
             match op {
-                Op::Var => next.copy_from(x),
-                _ => eval_op_into(model, mode, op, |a| &prev[a as usize], &mut next, stats),
+                Op::Fixpoint(b) => eval_fixpoint_into(
+                    model, mode, bodies, b, operand, &mut next, stats, ctl, threads,
+                )?,
+                _ => eval_op_into(model, mode, op, operand, &mut next, stats),
             }
             cur.for_each_difference(&next, |v| flips.push(v as u32));
             *cur = next;
-            continue;
+            return Ok(Propagated::Dense);
         }
-        stats.fixpoint_frontier_worlds += candidates.len();
-        // One dispatch per op, tight point loops per candidate —
-        // mirroring the delta-repair arms.
-        match op {
-            Op::Var => {
-                for &v in &candidates {
-                    let now = x.get(v as usize);
-                    if cur.get(v as usize) != now {
-                        cur.set(v as usize, now);
-                        flips.push(v);
-                    }
-                }
+    };
+    // One dispatch per op: each arm resolves its operands once and runs
+    // a tight point loop.
+    let mut set = |v: u32, now: bool| {
+        if cur.get(v as usize) != now {
+            cur.set(v as usize, now);
+            flips.push(v);
+        }
+    };
+    match op {
+        Op::Prop(d) => {
+            for &v in &candidates {
+                set(v, model.degree(v as usize) == d);
             }
-            Op::Not(a) => {
-                let a = &prev[a as usize];
-                for &v in &candidates {
-                    let now = !a.get(v as usize);
-                    if cur.get(v as usize) != now {
-                        cur.set(v as usize, now);
-                        flips.push(v);
-                    }
-                }
+        }
+        Op::Not(a) => {
+            let a = operand(a);
+            for &v in &candidates {
+                set(v, !a.get(v as usize));
             }
-            Op::And(a, b) => {
-                let (a, b) = (&prev[a as usize], &prev[b as usize]);
-                for &v in &candidates {
-                    let now = a.get(v as usize) && b.get(v as usize);
-                    if cur.get(v as usize) != now {
-                        cur.set(v as usize, now);
-                        flips.push(v);
-                    }
-                }
+        }
+        Op::And(a, b) => {
+            let (a, b) = (operand(a), operand(b));
+            for &v in &candidates {
+                set(v, a.get(v as usize) && b.get(v as usize));
             }
-            Op::Or(a, b) => {
-                let (a, b) = (&prev[a as usize], &prev[b as usize]);
-                for &v in &candidates {
-                    let now = a.get(v as usize) || b.get(v as usize);
-                    if cur.get(v as usize) != now {
-                        cur.set(v as usize, now);
-                        flips.push(v);
-                    }
-                }
+        }
+        Op::Or(a, b) => {
+            let (a, b) = (operand(a), operand(b));
+            for &v in &candidates {
+                set(v, a.get(v as usize) || b.get(v as usize));
             }
-            Op::Diamond { rel, grade, inner } => {
-                let sat = &prev[inner as usize];
-                for &v in &candidates {
-                    let mut count = 0usize;
-                    let mut now = false;
-                    for &w in model.successors_dense(rel as usize, v as usize) {
-                        if sat.get(w as usize) {
-                            count += 1;
-                            if count >= grade {
-                                now = true;
-                                break;
-                            }
-                        }
-                    }
-                    if cur.get(v as usize) != now {
-                        cur.set(v as usize, now);
-                        flips.push(v);
-                    }
-                }
+        }
+        Op::Diamond { rel, grade, inner } => {
+            let sat = operand(inner);
+            for &v in &candidates {
+                let succ = model.successors_dense(rel as usize, v as usize);
+                set(v, succ.iter().filter(|&&w| sat.get(w as usize)).take(grade).count() == grade);
             }
-            Op::Top | Op::Bottom | Op::Prop(_) | Op::Arg(_) | Op::Fixpoint(_) => {
-                unreachable!("ops without candidates are skipped above")
-            }
+        }
+        Op::Top | Op::Bottom | Op::Arg(_) | Op::Var | Op::Fixpoint(_) => {
+            unreachable!("ops without point candidates return above")
         }
     }
-    Ok(())
+    Ok(Propagated::Points(candidates.len()))
 }
 
 /// Iterate-until-stable evaluation of one [`Op::Fixpoint`]
 /// instruction: Kleene iteration of `bodies[b]` from ⊥ (µ) or ⊤ (ν),
 /// with the first iteration dense and every later one a frontier pass
-/// (unless `PORTNUM_FIXPOINT=dense` pins the baseline) — see the
-/// module docs. The accumulator is advanced by applying the root op's
-/// recorded flips, so a frontier iteration costs O(frontier); the
-/// empty flip set is the convergence test. `arg_of` resolves the
-/// body's external inputs in the enclosing context (plan slots,
-/// checker caches, or an enclosing body's value store — never invoked
-/// for a top-level fixpoint, whose body is closed).
+/// through [`propagate_op`] — see the module docs. The accumulator is
+/// advanced by applying the root op's recorded flips, so a frontier
+/// iteration costs O(frontier); the empty flip set is the convergence
+/// test. `arg_of` resolves the body's external inputs in the enclosing
+/// context (plan slots, checker caches, or an enclosing body's value
+/// store — never invoked for a top-level fixpoint, whose body is
+/// closed).
 ///
 /// Bit-identical to the naive Kleene reference: every pass computes
 /// exactly `body(Xᵢ)` (ops are deterministic functions of their
@@ -1649,11 +1562,15 @@ fn eval_fixpoint_into<'a>(
     let body = &bodies[b as usize];
     let n = model.len();
     let arg_vals: Vec<&Bitset> = body.args.iter().map(|&a| arg_of(a)).collect();
+    // Per-op values and flips persist across iterations, so each
+    // frontier pass repairs them in place.
     let mut vals: Vec<Bitset> = (0..body.ops.len()).map(|_| Bitset::default()).collect();
     let mut changed: Vec<Vec<u32>> = vec![Vec::new(); body.ops.len()];
     let mut x = if body.greatest { Bitset::ones(n) } else { Bitset::zeros(n) };
     let mut x_changed: Vec<u32> = Vec::new();
-    let frontier = fixpoint_override() == FixpointOverride::Frontier;
+    // After the dense pass `Var` reads the accumulator itself, whose
+    // flips are `x_changed`: it has nothing to repair.
+    let var = body.ops.iter().position(|&op| op == Op::Var).map(|i| i as u32);
     stats.fixpoints += 1;
     let mut iters = 0usize;
     loop {
@@ -1668,18 +1585,35 @@ fn eval_fixpoint_into<'a>(
         // the accumulator oscillated.
         assert!(iters <= n + 2, "fixpoint failed to converge: body not monotone?");
         stats.fixpoint_iters += 1;
-        if iters == 1 || !frontier {
+        if iters == 1 {
             stats.fixpoint_dense_passes += 1;
             body_dense_pass(model, mode, bodies, body, &x, &arg_vals, &mut vals, stats, ctl, threads)?;
-            x_changed.clear();
             x.for_each_difference(&vals[body.root as usize], |v| x_changed.push(v as u32));
         } else {
-            body_frontier_pass(
-                model, mode, bodies, body, &x, &x_changed, &mut vals, &mut changed, stats, ctl,
-                threads,
-            )?;
-            x_changed.clear();
-            x_changed.extend_from_slice(&changed[body.root as usize]);
+            for i in (0..body.ops.len()).filter(|&i| Some(i as u32) != var) {
+                let (prev_vals, cur) = vals.split_at_mut(i);
+                let (prev_changed, flips) = changed.split_at_mut(i);
+                let pass = propagate_op(
+                    model,
+                    mode,
+                    bodies,
+                    body.ops[i],
+                    &|a| if Some(a) == var { &x } else { &prev_vals[a as usize] },
+                    &|a| if Some(a) == var { &x_changed } else { &prev_changed[a as usize] },
+                    &[],
+                    &mut cur[0],
+                    &mut flips[0],
+                    stats,
+                    ctl,
+                    threads,
+                )?;
+                stats.fixpoint_frontier_worlds += match pass {
+                    Propagated::Clean => 0,
+                    Propagated::Points(k) => k,
+                    Propagated::Dense => n,
+                };
+            }
+            x_changed.clone_from(&changed[body.root as usize]);
         }
         if x_changed.is_empty() {
             break;
@@ -2701,16 +2635,17 @@ impl<'m> ModelChecker<'m> {
     /// returned by the deltas applied since [`Self::detach`] (order and
     /// duplicates don't matter).
     ///
-    /// Repair recomputes only what a delta can have changed: an
-    /// instruction of modal height `h` is stale at world `v` exactly
-    /// when some touched world is forward-reachable from `v` within `h`
-    /// steps, so each cached vector is patched pointwise over the
-    /// frontier `D_h = touched ∪ preds(touched) ∪ …` (`h` predecessor
-    /// expansions, read off the post-delta CSC store). A frontier that
-    /// grows past a quarter of the universe falls back to recomputing
-    /// that vector wholesale — past that point the dense sweep is
-    /// cheaper than point lookups. Both paths are pinned bit-identical
-    /// to a fresh checker by the differential delta suite, and
+    /// Repair recomputes only what a delta can have changed, running
+    /// every cached vector through the change-propagation kernel (see
+    /// the module docs) in instruction order: `Prop` and diamond
+    /// vectors re-check the touched worlds, and every vector re-checks
+    /// the worlds its operands actually flipped (for a diamond over
+    /// `r`, their `r`-predecessors in the post-delta CSC store). A
+    /// cached fixpoint re-runs wholesale. A candidate set past a
+    /// quarter of the universe falls back to recomputing that vector
+    /// wholesale — past that point the dense sweep is cheaper than
+    /// point lookups. Both paths are pinned bit-identical to a fresh
+    /// checker by the differential delta suite, and
     /// [`Self::last_repair`] reports which path each vector took.
     ///
     /// A cached quotient is repaired too, by resuming partition
@@ -2718,10 +2653,6 @@ impl<'m> ModelChecker<'m> {
     /// frontier ([`crate::bisim::refine_fixpoint_from`]) — stable, so
     /// [`Self::check_via_quotient`] stays exact, but possibly finer
     /// than coarsest, so the next [`Self::minimum_base`] recomputes.
-    ///
-    /// `PORTNUM_DELTA=rebuild` ([`delta_override`]) turns resume into
-    /// the escape hatch: all cached vectors and the quotient are
-    /// dropped and later checks recompute from scratch.
     ///
     /// # Panics
     ///
@@ -2755,12 +2686,6 @@ impl<'m> ModelChecker<'m> {
         if touched.is_empty() && model.version() == cache.model_version {
             return checker;
         }
-        if delta_override() == DeltaOverride::Rebuild {
-            checker.results.iter_mut().for_each(|r| *r = None);
-            checker.quotient = None;
-            checker.quotient_repaired = false;
-            return checker;
-        }
         checker.repair(touched);
         checker
     }
@@ -2778,189 +2703,43 @@ impl<'m> ModelChecker<'m> {
 
         // Change propagation in ascending id order (operands before
         // consumers; a cached consumer's operands are always cached —
-        // commits are whole-or-nothing). Each cached vector re-evaluates
-        // only its *candidate* worlds — those whose value can have
-        // moved: the touched set where the op reads the model directly
-        // (valuations for `Prop`, edited rows for `Diamond` — both
-        // endpoints of every edit are in `touched`, so removed edges
-        // need no pre-delta predecessor pass), and the operands' worlds
-        // that **actually flipped** for the rest (their post-delta
-        // predecessors, for a diamond). The flips recorded at each op
-        // drive its consumers, so a delta the formula cannot observe
-        // dies out after one ring instead of dirtying a
-        // frontier-per-modal-height closure of the touched set.
-        let dense = |d: usize| d * 4 >= n;
+        // commits are whole-or-nothing). Both endpoints of every edit
+        // are in `touched`, so removed edges need no pre-delta
+        // predecessor pass.
         let mut changed: Vec<Vec<u32>> = vec![Vec::new(); self.results.len()];
         let mut exec = ExecStats::default();
+        let ctl = ExecControl::unrestricted();
         for id in 0..self.results.len() {
-            let Some(existing) = self.results[id].take() else { continue };
-            let op = self.lw.ops[id];
-            if let Op::Fixpoint(b) = op {
-                // A fixpoint reads the model at unbounded modal depth, so
-                // no frontier bound holds after a delta: rebuild it
-                // wholesale (its own executor still iterates by frontier)
-                // and let the word diff drive downstream consumers.
-                let results = &self.results;
-                let operand = |a: u32| -> &Bitset {
-                    results[a as usize]
-                        .as_deref()
-                        .expect("cached consumers have cached operands")
-                };
-                let mut out = Bitset::default();
-                eval_fixpoint_into(
-                    model,
-                    self.mode,
-                    &self.lw.bodies,
-                    b,
-                    &operand,
-                    &mut out,
-                    &mut exec,
-                    &ExecControl::unrestricted(),
-                    &|_| 1,
-                )
-                .expect("unrestricted control never interrupts");
-                existing.for_each_difference(&out, |v| changed[id].push(v as u32));
-                stats.rebuilt_vectors += 1;
-                self.computed += 1;
-                self.results[id] = Some(Rc::new(out));
-                continue;
-            }
-            // Candidate dirty worlds, sorted ascending and deduplicated.
-            let candidates: Vec<u32> = match op {
-                // Constant vectors cannot be dirtied.
-                Op::Top | Op::Bottom => Vec::new(),
-                Op::Prop(_) => d0.clone(),
-                Op::Not(a) => changed[a as usize].clone(),
-                Op::And(a, b) | Op::Or(a, b) => {
-                    let mut c: Vec<u32> =
-                        changed[a as usize].iter().chain(&changed[b as usize]).copied().collect();
-                    c.sort_unstable();
-                    c.dedup();
-                    c
-                }
-                Op::Diamond { inner, .. } => {
-                    let mut c = d0.clone();
-                    let inner_changed = &changed[inner as usize];
-                    if !inner_changed.is_empty() {
-                        let csc = model.combined_predecessors_csc();
-                        for &w in inner_changed {
-                            c.extend_from_slice(csc.row(w as usize));
-                        }
-                        c.sort_unstable();
-                        c.dedup();
-                    }
-                    c
-                }
-                Op::Var | Op::Arg(_) => unreachable!("Var/Arg live only inside fixpoint bodies"),
-                Op::Fixpoint(_) => unreachable!("fixpoints are rebuilt wholesale above"),
-            };
-            if candidates.is_empty() {
-                self.results[id] = Some(existing);
-                continue;
-            }
-            if dense(candidates.len()) {
-                // Past the fallback threshold a wholesale vectorized
-                // recompute beats point repair; the flips still come
-                // cheap off a word-level diff.
-                let results = &self.results;
-                let operand = |a: u32| -> &Bitset {
-                    results[a as usize]
-                        .as_deref()
-                        .expect("cached consumers have cached operands")
-                };
-                let mut out = Bitset::default();
-                eval_op_into(model, self.mode, op, operand, &mut out, &mut exec);
-                for v in 0..n {
-                    if out.get(v) != existing.get(v) {
-                        changed[id].push(v as u32);
-                    }
-                }
-                stats.rebuilt_vectors += 1;
-                self.computed += 1;
-                self.results[id] = Some(Rc::new(out));
-                continue;
-            }
-            let mut vec = existing;
-            let bits = Rc::make_mut(&mut vec);
+            let Some(mut vec) = self.results[id].take() else { continue };
             let results = &self.results;
-            let operand = |a: u32| -> &Bitset {
-                results[a as usize]
-                    .as_deref()
-                    .expect("cached consumers have cached operands")
-            };
-            // One dispatch per vector, not per world: each arm resolves
-            // its operand bitsets once and runs a tight point loop —
-            // semantically `eval_op_into(..).get(v)` per candidate,
-            // pinned by the differential delta tests.
-            let flips = &mut changed[id];
-            match op {
-                Op::Top | Op::Bottom => unreachable!("constants have no candidates"),
-                Op::Prop(d) => {
-                    for &v in &candidates {
-                        let now = model.degree(v as usize) == d;
-                        if bits.get(v as usize) != now {
-                            bits.set(v as usize, now);
-                            flips.push(v);
-                        }
-                    }
+            let (prev_changed, flips) = changed.split_at_mut(id);
+            let pass = propagate_op(
+                model,
+                self.mode,
+                &self.lw.bodies,
+                self.lw.ops[id],
+                &|a| results[a as usize].as_deref().expect("cached consumers have cached operands"),
+                &|a| &prev_changed[a as usize],
+                &d0,
+                Rc::make_mut(&mut vec),
+                &mut flips[0],
+                &mut exec,
+                &ctl,
+                &|_| 1,
+            )
+            .expect("unrestricted control never interrupts");
+            match pass {
+                Propagated::Clean => {}
+                Propagated::Points(k) => {
+                    stats.repaired_vectors += 1;
+                    stats.repaired_worlds += k;
+                    stats.max_frontier = stats.max_frontier.max(k);
                 }
-                Op::Not(a) => {
-                    let a = operand(a);
-                    for &v in &candidates {
-                        let now = !a.get(v as usize);
-                        if bits.get(v as usize) != now {
-                            bits.set(v as usize, now);
-                            flips.push(v);
-                        }
-                    }
-                }
-                Op::And(a, b) => {
-                    let (a, b) = (operand(a), operand(b));
-                    for &v in &candidates {
-                        let now = a.get(v as usize) && b.get(v as usize);
-                        if bits.get(v as usize) != now {
-                            bits.set(v as usize, now);
-                            flips.push(v);
-                        }
-                    }
-                }
-                Op::Or(a, b) => {
-                    let (a, b) = (operand(a), operand(b));
-                    for &v in &candidates {
-                        let now = a.get(v as usize) || b.get(v as usize);
-                        if bits.get(v as usize) != now {
-                            bits.set(v as usize, now);
-                            flips.push(v);
-                        }
-                    }
-                }
-                Op::Diamond { rel, grade, inner } => {
-                    let sat = operand(inner);
-                    for &v in &candidates {
-                        let mut count = 0usize;
-                        let mut now = false;
-                        for &w in model.successors_dense(rel as usize, v as usize) {
-                            if sat.get(w as usize) {
-                                count += 1;
-                                if count >= grade {
-                                    now = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if bits.get(v as usize) != now {
-                            bits.set(v as usize, now);
-                            flips.push(v);
-                        }
-                    }
-                }
-                Op::Var | Op::Arg(_) | Op::Fixpoint(_) => {
-                    unreachable!("never point-repaired: no candidates or handled above")
+                Propagated::Dense => {
+                    stats.rebuilt_vectors += 1;
+                    self.computed += 1;
                 }
             }
-            stats.repaired_vectors += 1;
-            stats.repaired_worlds += candidates.len();
-            stats.max_frontier = stats.max_frontier.max(candidates.len());
             self.results[id] = Some(vec);
         }
         self.exec.absorb(exec);
@@ -2982,8 +2761,8 @@ impl<'m> ModelChecker<'m> {
     }
 
     /// What the latest [`Self::resume`] repair pass did, or `None` if
-    /// this checker has not repaired anything (fresh checker, no-op
-    /// resume, or `PORTNUM_DELTA=rebuild`).
+    /// this checker has not repaired anything (fresh checker or no-op
+    /// resume).
     pub fn last_repair(&self) -> Option<&RepairStats> {
         self.last_repair.as_ref()
     }
@@ -3488,13 +3267,6 @@ mod tests {
         let _ = reverse_override();
     }
 
-    #[test]
-    fn delta_override_knob_parses_or_panics() {
-        // Same contract as PORTNUM_REVERSE: the CI rebuild matrix leg
-        // must never silently run the repair path.
-        let _ = delta_override();
-    }
-
     /// A small suite exercising every op: atoms, boolean structure,
     /// nested and graded diamonds.
     fn delta_suite() -> Vec<Formula> {
@@ -3543,19 +3315,14 @@ mod tests {
                     );
                 }
             }
-            if delta_override() == DeltaOverride::Repair {
-                let stats = checker.last_repair().expect("repair ran");
-                assert!(stats.repaired_vectors + stats.rebuilt_vectors > 0);
-            }
+            let stats = checker.last_repair().expect("repair ran");
+            assert!(stats.repaired_vectors + stats.rebuilt_vectors > 0);
         }
     }
 
     #[test]
     fn checker_repair_touches_a_strict_subset_on_localized_deltas() {
         use crate::kripke::ModelDelta;
-        if delta_override() != DeltaOverride::Repair {
-            return; // the rebuild leg has no repair pass to observe
-        }
         let mut k = Kripke::k_mm(&generators::path(256));
         let mut checker = ModelChecker::new(&k);
         for f in delta_suite() {
@@ -3603,9 +3370,7 @@ mod tests {
         let via_quotient = checker.check_via_quotient(&phi).unwrap();
         let mut fresh = ModelChecker::new(&k);
         assert_eq!(via_quotient.to_bools(), fresh.check(&phi).unwrap().to_bools());
-        if delta_override() == DeltaOverride::Repair {
-            assert!(checker.last_repair().expect("repair ran").quotient_repaired);
-        }
+        assert!(checker.last_repair().expect("repair ran").quotient_repaired);
         // minimum_base drops the repaired quotient and recomputes the
         // coarsest one — identical to a fresh checker's.
         assert_eq!(*checker.minimum_base(), *fresh.minimum_base());
@@ -3790,13 +3555,6 @@ mod tests {
         assert_eq!(out[1], out[2]);
     }
 
-    #[test]
-    fn fixpoint_override_knob_parses_or_panics() {
-        // Same contract as PORTNUM_REVERSE / PORTNUM_DELTA: CI's dense
-        // baseline leg must never silently run the frontier path.
-        let _ = fixpoint_override();
-    }
-
     /// Closed fixpoint formulas exercising µ, ν, nesting, boolean
     /// structure around binders, and grades inside bodies.
     fn fixpoint_suite() -> Vec<Formula> {
@@ -3882,20 +3640,16 @@ mod tests {
         let (out, stats) = plan.execute_with(&k, DiamondMode::Auto);
         assert_eq!(out[0], evaluate_packed_recursive(&k, &f).unwrap());
         assert!(stats.fixpoint_iters > n / 4, "a path forces a long iteration chain: {stats:?}");
-        if fixpoint_override() == FixpointOverride::Frontier {
-            assert_eq!(stats.fixpoint_dense_passes, 1, "only the first iteration is dense");
-            // Frontier accounting must beat whole-model re-evaluation by
-            // a wide margin: n per iteration would be n·iters ≈ n²/2.
-            let budget = 8 * n + stats.fixpoint_iters * 8;
-            assert!(
-                stats.fixpoint_frontier_worlds < budget,
-                "frontier touched {} worlds over {} iterations (budget {budget})",
-                stats.fixpoint_frontier_worlds,
-                stats.fixpoint_iters,
-            );
-        } else {
-            assert_eq!(stats.fixpoint_dense_passes, stats.fixpoint_iters);
-        }
+        assert_eq!(stats.fixpoint_dense_passes, 1, "only the first iteration is dense");
+        // Frontier accounting must beat whole-model re-evaluation by a
+        // wide margin: n per iteration would be n·iters ≈ n²/2.
+        let budget = 8 * n + stats.fixpoint_iters * 8;
+        assert!(
+            stats.fixpoint_frontier_worlds < budget,
+            "frontier touched {} worlds over {} iterations (budget {budget})",
+            stats.fixpoint_frontier_worlds,
+            stats.fixpoint_iters,
+        );
     }
 
     #[test]

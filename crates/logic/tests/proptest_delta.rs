@@ -11,22 +11,29 @@
 //!   caches, which `Eq` ignores but the checker reads) agrees with a
 //!   from-scratch build;
 //! * a [`ModelChecker`] carried across the script via
-//!   `detach`/`resume` must answer bit-identically to a fresh checker
-//!   on the rebuilt model — repair is indistinguishable from full
-//!   recomputation (under `PORTNUM_DELTA=rebuild` the same assertions
-//!   pin the drop-everything path; CI runs both knob modes);
+//!   `detach`/`resume` must answer bit-identically to full
+//!   recomputation on the rebuilt model — for a GML formula and for a
+//!   µ-fragment formula (against the Kleene reference), so the repair
+//!   of fixpoints and of their consumers is pinned on every variant;
 //! * plan execution on the patched model must agree between the
 //!   sequential and forced-parallel engines (patched rows feed the
 //!   chunked executor the same slices);
 //! * the quotient path ([`ModelChecker::check_via_quotient`], repaired
 //!   incrementally from the pre-delta partition) must stay exact for
 //!   ungraded formulas.
+//!
+//! A deterministic pin at the bottom asserts that repair on a
+//! multi-relation model seeds a diamond's candidates from *its own*
+//! relation's predecessors, not from every relation's.
 
 mod common;
 
-use common::{all_variants, arb_formula_with as arb_formula, arb_graph, ungrade};
+use common::{all_variants, arb_formula_with as arb_formula, arb_graph, arb_mu_formula, ungrade};
+use portnum_graph::{generators, Graph, PortNumbering};
 use portnum_logic::plan::{DiamondMode, ModelChecker, Plan};
-use portnum_logic::{evaluate_packed, Kripke, ModalIndex, ModelDelta};
+use portnum_logic::{
+    evaluate_packed, evaluate_packed_recursive, Formula, Kripke, ModalIndex, ModelDelta,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -141,10 +148,14 @@ proptest! {
         f_mp in arb_formula(|_i, j| ModalIndex::Out(j)),
         f_pm in arb_formula(|i, _j| ModalIndex::In(i)),
         f_mm in arb_formula(|_i, _j| ModalIndex::Any),
+        m_pp in arb_mu_formula(ModalIndex::InOut),
+        m_mp in arb_mu_formula(|_i, j| ModalIndex::Out(j)),
+        m_pm in arb_mu_formula(|i, _j| ModalIndex::In(i)),
+        m_mm in arb_mu_formula(|_i, _j| ModalIndex::Any),
     ) {
         let models = all_variants(&g, seed);
-        let formulas = [&f_pp, &f_mp, &f_pm, &f_mm];
-        for (model, f) in models.into_iter().zip(formulas) {
+        let formulas = [(&f_pp, &m_pp), (&f_mp, &m_mp), (&f_pm, &m_pm), (&f_mm, &m_mm)];
+        for (model, (f, m)) in models.into_iter().zip(formulas) {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
             let mut mirror = Mirror::of(&model);
 
@@ -153,6 +164,13 @@ proptest! {
             let mut patched = model.clone();
             let mut checker = ModelChecker::new(&patched);
             checker.check(f).unwrap();
+            // The fixpoint alone and consumed by a diamond and boolean
+            // structure, so a re-run fixpoint's flips drive repair
+            // downstream.
+            let dia =
+                model.indices().next().map_or_else(Formula::bottom, |i| Formula::diamond(i, m));
+            let fixpoints = [m.clone(), m.not().and(f).or(&dia)];
+            checker.check_suite(&fixpoints).unwrap();
             let mut cache = checker.detach();
             for _ in 0..steps {
                 let delta = random_step(&mut rng, &model, &mut mirror);
@@ -180,6 +198,13 @@ proptest! {
                 "repaired cache diverged on {:?} with {} (graph {})",
                 patched.variant(), f, g
             );
+            for fm in &fixpoints {
+                prop_assert_eq!(
+                    &*resumed.check(fm).unwrap(), &evaluate_packed_recursive(&rebuilt, fm).unwrap(),
+                    "repaired fixpoint diverged on {:?} with {} (graph {})",
+                    patched.variant(), fm, g
+                );
+            }
 
             // Engine parity on patched storage: sequential vs forced
             // parallel over the post-delta rows.
@@ -253,4 +278,36 @@ proptest! {
             }
         }
     }
+}
+
+/// Repair candidates on a multi-relation model come from the diamond's
+/// own relation. A valuation-only delta at the hub of a 64-leaf star
+/// flips `q_d` there; under `K₊,₊` exactly one leaf reaches the hub
+/// through port pair `(0, 5)`, so `⟨(0,5)⟩ q_d` re-checks two worlds.
+/// Seeding from the union of all relations would re-check all 64
+/// leaves; the path padding keeps that 65-world frontier under a
+/// quarter of the universe, so it would show up as a point repair
+/// rather than hide in the dense fallback.
+#[test]
+fn multi_relation_repair_seeds_candidates_per_relation() {
+    let star = generators::star(64);
+    let g = Graph::disjoint_union(&[&star, &generators::path(200)]);
+    let n = g.len();
+    assert!(n > 4 * 65, "the combined-relation frontier must stay on the point path");
+    let mut k = Kripke::k_pp(&g, &PortNumbering::consistent(&g));
+    let (hub, d) = (0u32, 3usize);
+    let phi = Formula::diamond(ModalIndex::InOut(0, 5), &Formula::prop(d));
+    let mut checker = ModelChecker::new(&k);
+    assert!(checker.check(&phi).unwrap().none(), "no world has degree {d} yet");
+    let cache = checker.detach();
+    let mut delta = ModelDelta::new();
+    delta.set_valuation(hub, d);
+    let touched = k.apply_delta(&delta).unwrap();
+    let mut checker = ModelChecker::resume(&k, cache, &touched);
+    let stats = *checker.last_repair().expect("repair ran");
+    assert_eq!(stats.rebuilt_vectors, 0, "{stats:?}");
+    assert!(stats.max_frontier <= 2, "per-relation candidates are the hub and one leaf: {stats:?}");
+    let got = checker.check(&phi).unwrap();
+    assert_eq!(got.count_ones(), 1, "exactly one leaf sees the hub through (0, 5)");
+    assert_eq!(*got, *ModelChecker::new(&k).check(&phi).unwrap());
 }

@@ -162,8 +162,10 @@ impl<'a> BenchmarkGroup<'a> {
         match (self.criterion.mode, result) {
             (Mode::TestOnce, _) => println!("test {full} ... ok"),
             (Mode::Measure, Some(s)) => {
+                // Labelled: criterion's positional `[lower estimate
+                // upper]` slot would pass these off as an interval.
                 println!(
-                    "{full:<60} time: [{} {} {}]",
+                    "{full:<60} time: min={} median={} mean={}",
                     fmt_ns(s.min_ns),
                     fmt_ns(s.median_ns),
                     fmt_ns(s.mean_ns)
