@@ -2,7 +2,7 @@
 //! memoisation, compiled-plan suites, and diamond strategies.
 //!
 //! Three engines are compared: the plan engine behind
-//! [`evaluate_packed`] (hash-consed IR, slot recycling, forward/reverse
+//! [`evaluate_packed`] (hash-consed IR, slot recycling, forward/CSC
 //! diamonds), the recursive pointer-memoised bitset engine
 //! ([`evaluate_packed_recursive`], the differential-testing reference),
 //! and `evaluate_legacy` below — the pre-bitset evaluator (memoised
@@ -14,9 +14,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use portnum_bench::workloads;
 use portnum_logic::plan::DiamondMode;
 use portnum_logic::{
-    evaluate_packed, evaluate_packed_recursive, Formula, FormulaKind, Kripke, Plan,
+    evaluate_packed, evaluate_packed_recursive, Formula, FormulaKind, Kripke, ModalIndex,
+    ModelVariant, Plan,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -152,22 +153,52 @@ fn bench_parallel_execution(c: &mut Criterion) {
     }
 }
 
+/// `f₀ = low`, `f_{i+1} = ⟨*,*⟩≥g f_i ∧ mask_i`: `low` is the worlds
+/// of at most median degree, the masks alternate `¬low` / `low`, and
+/// the grades alternate 1, 2. On a G(n, p) model a world almost always
+/// has a successor (or two) in a half-sized set, so every level keeps
+/// about n/2 worlds — the diamonds read inner sets that neither go
+/// empty (which makes every reverse strategy free) nor fill up.
+fn half_degree_tower(k: &Kripke, depth: usize) -> Formula {
+    let mut degrees = k.degrees().to_vec();
+    degrees.sort_unstable();
+    let median = degrees[degrees.len() / 2];
+    let low = (0..=median).map(Formula::prop).reduce(|a, b| a.or(&b)).expect("median ≥ 0");
+    let high = low.not();
+    let mut f = low.clone();
+    for i in 0..depth {
+        let mask = if i % 2 == 0 { &high } else { &low };
+        f = Formula::diamond_geq(ModalIndex::Any, 1 + i % 2, &f).and(mask);
+    }
+    f
+}
+
+/// A hub: every world's one successor is world 0, the only world of
+/// degree 7, so `⟨*,*⟩q₇` has one satisfying world with `n`
+/// predecessors — the shape where a reverse strategy reads the most
+/// per satisfying world.
+fn hub_model(n: usize) -> Kripke {
+    let mut degree = vec![0usize; n];
+    degree[0] = 7;
+    let mut relations = BTreeMap::new();
+    relations.insert(ModalIndex::Any, vec![vec![0usize]; n]);
+    Kripke::from_parts(ModelVariant::MinusMinus, degree, relations).expect("well-formed hub")
+}
+
 fn bench_diamond_strategies(c: &mut Criterion) {
-    // Deep alternating-grade towers: the grade-1 levels are eligible
-    // for predecessor-row unions, the grade-2 levels for the CSC
-    // counting gather — `auto` picks per instruction among forward,
-    // dense rows, and the CSC gather.
-    let f = workloads::nested_diamonds(16);
+    const MODES: [(&str, DiamondMode); 3] =
+        [("auto", DiamondMode::Auto), ("forward", DiamondMode::Forward), ("csc", DiamondMode::Csc)];
+    // Sixteen diamonds over inner sets of about n/2 worlds, grades
+    // alternating 1 and 2: `auto` picks per instruction between the
+    // forward sweep and the CSC gather.
     for w in workloads::gnp_sweep(&[512], 0.05, 5) {
         let k = Kripke::k_mm(&w.graph);
+        let f = half_degree_tower(&k, 16);
         let plan = Plan::compile(&k, &f).unwrap();
+        let ones = plan.execute(&k)[0].count_ones();
+        assert!((k.len() / 4..=3 * k.len() / 4).contains(&ones), "tower collapsed to {ones}");
         let mut group = c.benchmark_group("model_checking/diamond_strategy");
-        for (name, mode) in [
-            ("auto", DiamondMode::Auto),
-            ("forward", DiamondMode::Forward),
-            ("reverse", DiamondMode::Reverse),
-            ("csc", DiamondMode::Csc),
-        ] {
+        for (name, mode) in MODES {
             group.bench_with_input(BenchmarkId::new(name, w.graph.len()), &mode, |b, &mode| {
                 b.iter(|| plan.execute_with(&k, mode))
             });
@@ -175,18 +206,28 @@ fn bench_diamond_strategies(c: &mut Criterion) {
         group.finish();
     }
 
-    // Above the dense cap only forward and CSC are on the table: the
-    // n²-bit predecessor matrix would cost ~0.5 GiB here, so before
-    // the CSC store this workload's reverse-eligible diamonds were
-    // silently forced onto the forward sweep.
+    // One satisfying world with every world as its predecessor.
+    let n = 4096;
+    let k = hub_model(n);
+    let f = Formula::diamond(ModalIndex::Any, &Formula::prop(7));
+    let plan = Plan::compile(&k, &f).unwrap();
+    let mut group = c.benchmark_group("model_checking/diamond_strategy_hub");
+    for (name, mode) in MODES {
+        group.bench_with_input(BenchmarkId::new(name, n), &mode, |b, &mode| {
+            b.iter(|| plan.execute_with(&k, mode))
+        });
+    }
+    group.finish();
+
+    // A sparse inner set on a 16384-world path: two satisfying worlds,
+    // so the CSC gather touches two predecessor rows where the forward
+    // sweep walks all n worlds.
     let w = workloads::sparse_huge();
     let k = Kripke::k_mm(&w.graph);
     let f = workloads::endpoint_diamond();
     let plan = Plan::compile(&k, &f).unwrap();
     let mut group = c.benchmark_group("model_checking/diamond_strategy_sparse_huge");
-    for (name, mode) in
-        [("auto", DiamondMode::Auto), ("forward", DiamondMode::Forward), ("csc", DiamondMode::Csc)]
-    {
+    for (name, mode) in MODES {
         group.bench_with_input(BenchmarkId::new(name, w.graph.len()), &mode, |b, &mode| {
             b.iter(|| plan.execute_with(&k, mode))
         });

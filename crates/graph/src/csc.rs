@@ -7,9 +7,10 @@
 //! model checker's reverse diamond path computes `⟨α⟩φ` by gathering
 //! the predecessors of every world satisfying `φ`. [`CscAdjacency`] is
 //! that inverse in the same two-flat-arrays shape as the forward CSR:
-//! `O(n + edges)` memory at **any** scale, where the dense
-//! [`BitMatrix`](crate::bitset::BitMatrix) predecessor rows cost
-//! `n²` bits and stop paying for themselves on large sparse models.
+//! `O(n + edges)` memory at **any** scale. It is the model checker's
+//! only predecessor store: a dense `n²`-bit one would win only where
+//! a satisfying world has hundreds of predecessors, and costs
+//! quadratic memory everywhere.
 //!
 //! # Construction invariant
 //!

@@ -248,20 +248,6 @@ pub fn refine_controlled(
     refine_impl(model, style, None, true, ctl)
 }
 
-/// Control-aware [`refine_fixpoint`] (final partition only); the same
-/// round-boundary polling contract as [`refine_controlled`].
-///
-/// # Errors
-///
-/// The first [`Interrupted`] observed at a round boundary.
-pub fn refine_fixpoint_controlled(
-    model: &Kripke,
-    style: BisimStyle,
-    ctl: &ExecControl,
-) -> Result<BisimClasses, Interrupted> {
-    refine_impl(model, style, None, false, ctl)
-}
-
 /// Runs signature refinement for at most `depth` rounds (the result
 /// characterises formulas of modal depth `≤ depth`).
 pub fn refine_bounded(model: &Kripke, style: BisimStyle, depth: usize) -> BisimClasses {
