@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use portnum_bench::workloads;
-use portnum_logic::bisim::{refine, refine_with, BisimStyle, RefineEngine};
+use portnum_logic::bisim::{refine, refine_with, BisimStyle, RefineEngine, RefineOptions};
 use portnum_logic::Kripke;
 use std::time::Duration;
 
@@ -38,19 +38,32 @@ fn bench_worklist_vs_rounds(c: &mut Criterion) {
     for w in sweep {
         let k_mm = Kripke::k_mm(&w.graph);
         let k_pp = Kripke::k_pp(&w.graph, &w.ports);
-        for (engine_name, engine) in
-            [("rounds", RefineEngine::Rounds), ("worklist", RefineEngine::Worklist)]
-        {
-            group.bench_with_input(
-                BenchmarkId::new(format!("plain_kmm_{engine_name}"), &w.name),
-                &k_mm,
-                |b, k| b.iter(|| refine_with(k, BisimStyle::Plain, engine)),
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("plain_kpp_{engine_name}"), &w.name),
-                &k_pp,
-                |b, k| b.iter(|| refine_with(k, BisimStyle::Plain, engine)),
-            );
+        for (model_name, k) in [("kmm", &k_mm), ("kpp", &k_pp)] {
+            // Each engine's own touched-world counter, printed next to
+            // the timings: on these shapes the worklist engine must
+            // encode fewer signatures than the full-round engine's
+            // n · rounds.
+            let mut touched = [0usize; 2];
+            for (i, (engine_name, engine)) in
+                [("rounds", RefineEngine::Rounds), ("worklist", RefineEngine::Worklist)]
+                    .into_iter()
+                    .enumerate()
+            {
+                let opts = RefineOptions { engine, ..RefineOptions::new(BisimStyle::Plain) };
+                let (_, stats) = refine_with(k, &opts).expect("unrestricted refinement");
+                touched[i] = stats.encoded;
+                println!(
+                    "bisimulation/engines/plain_{model_name}_{engine_name}/{}: \
+                     rounds={} touched={}",
+                    w.name, stats.rounds, stats.encoded
+                );
+                group.bench_with_input(
+                    BenchmarkId::new(format!("plain_{model_name}_{engine_name}"), &w.name),
+                    k,
+                    |b, k| b.iter(|| refine_with(k, &opts)),
+                );
+            }
+            assert!(touched[1] < touched[0], "{}: worklist touched {touched:?}", w.name);
         }
     }
     group.finish();

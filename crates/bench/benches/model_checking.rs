@@ -12,7 +12,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use portnum_bench::workloads;
-use portnum_logic::plan::DiamondMode;
+use portnum_graph::partition::Parallelism;
+use portnum_logic::plan::{DiamondMode, ExecOptions};
 use portnum_logic::{
     evaluate_packed, evaluate_packed_recursive, Formula, FormulaKind, Kripke, ModalIndex,
     ModelVariant, Plan,
@@ -118,10 +119,14 @@ fn bench_formula_suite(c: &mut Criterion) {
         let k = Kripke::k_mm(&w.graph);
         let mut group = c.benchmark_group("model_checking/formula_suite16");
         group.bench_function("plan_compile_and_execute", |b| {
-            b.iter(|| Plan::compile_suite(&k, suite.iter()).unwrap().execute(&k))
+            b.iter(|| {
+                Plan::compile_suite(&k, suite.iter()).unwrap().execute_with(&k, DiamondMode::Auto)
+            })
         });
         let plan = Plan::compile_suite(&k, suite.iter()).unwrap();
-        group.bench_function("plan_execute_precompiled", |b| b.iter(|| plan.execute(&k)));
+        group.bench_function("plan_execute_precompiled", |b| {
+            b.iter(|| plan.execute_with(&k, DiamondMode::Auto))
+        });
         group.bench_function("recursive", |b| {
             b.iter(|| {
                 suite
@@ -142,12 +147,13 @@ fn bench_parallel_execution(c: &mut Criterion) {
     for w in workloads::gnp_sweep(&[512], 0.05, 5) {
         let k = Kripke::k_mm(&w.graph);
         let plan = Plan::compile(&k, &f).unwrap();
+        let forced = ExecOptions { parallelism: Parallelism::Force, ..ExecOptions::default() };
         let mut group = c.benchmark_group("model_checking/parallel_execution");
         group.bench_function("sequential", |b| {
             b.iter(|| plan.execute_with(&k, DiamondMode::Auto))
         });
         group.bench_function("pool_forced", |b| {
-            b.iter(|| plan.execute_forced_parallel(&k, DiamondMode::Auto))
+            b.iter(|| plan.execute(&k, &forced))
         });
         group.finish();
     }
@@ -195,7 +201,7 @@ fn bench_diamond_strategies(c: &mut Criterion) {
         let k = Kripke::k_mm(&w.graph);
         let f = half_degree_tower(&k, 16);
         let plan = Plan::compile(&k, &f).unwrap();
-        let ones = plan.execute(&k)[0].count_ones();
+        let ones = plan.execute_with(&k, DiamondMode::Auto).0[0].count_ones();
         assert!((k.len() / 4..=3 * k.len() / 4).contains(&ones), "tower collapsed to {ones}");
         let mut group = c.benchmark_group("model_checking/diamond_strategy");
         for (name, mode) in MODES {

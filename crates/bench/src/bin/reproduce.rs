@@ -10,12 +10,15 @@ use portnum::sim::{MultisetFromVector, SetFromMultiset};
 use portnum::{separations, verify, ProblemClass};
 use portnum_bench::report::{section, Table};
 use portnum_bench::workloads;
+use portnum_graph::bitset::Bitset;
+use portnum_graph::partition::Parallelism;
 use portnum_graph::{cover, generators, matching, properties, Graph, Port, PortNumbering};
-use portnum_logic::bisim::{self, BisimStyle, RefineEngine};
+use portnum_logic::bisim::{self, BisimStyle, RefineEngine, RefineOptions};
 use portnum_logic::compile::{
     compile_broadcast, compile_mb, compile_multiset, compile_sb, compile_set, compile_vector,
     mb_algorithm_to_formulas, ToFormulaOptions,
 };
+use portnum_logic::plan::ExecOptions;
 use portnum_logic::{
     evaluate, evaluate_packed, evaluate_packed_recursive, parse, Formula, Kripke, ModalIndex, Plan,
 };
@@ -48,6 +51,13 @@ fn main() {
     bench_eval_snapshot();
     serve_qps_snapshot();
     println!("\nAll sections completed.");
+}
+
+/// Unrestricted plan execution with the pool pinned on (`Force`) or
+/// off (`Off`), Auto diamonds.
+fn execute_pinned(plan: &Plan, k: &Kripke, parallelism: Parallelism) -> Vec<Bitset> {
+    let opts = ExecOptions { parallelism, ..ExecOptions::default() };
+    plan.execute(k, &opts).expect("unrestricted execution cannot be interrupted").0
 }
 
 /// Median wall-clock microseconds of 7 runs of `routine` (the caller
@@ -108,22 +118,22 @@ fn bench_snapshot() {
                 BisimStyle::Plain => "plain",
                 BisimStyle::Graded => "graded",
             };
-            // The touched-world counter makes the asymptotic difference
-            // visible next to the timings: the round engine encodes
-            // exactly nodes × rounds signatures.
-            let (_, stats) = bisim::refine_fixpoint_stats(k, style);
             for (bench_name, engine_name, engine) in [
                 ("refine", "rounds", RefineEngine::Rounds),
                 ("refine_worklist", "worklist", RefineEngine::Worklist),
             ] {
+                // The touched-world counter makes the asymptotic
+                // difference visible next to the timings: each engine
+                // reports its own (the round engine encodes exactly
+                // nodes × rounds signatures).
+                let opts = RefineOptions { engine, ..RefineOptions::new(style) };
+                let run = || bisim::refine_with(k, &opts).expect("unrestricted refinement");
+                let (_, stats) = run();
                 let median = median_us(
-                    || bisim::refine_with(k, style, engine),
+                    || run().0,
                     |c| assert_eq!(c.final_level(), classes.final_level()),
                 );
-                let touched = match engine {
-                    RefineEngine::Rounds => w.graph.len() * stats.rounds,
-                    RefineEngine::Worklist => stats.encoded,
-                };
+                let touched = stats.encoded;
                 t.row([
                     w.name.clone(),
                     model_name.to_string(),
@@ -214,7 +224,10 @@ fn bench_eval_snapshot() {
             (
                 "formula_suite_plan",
                 median_us(
-                    || Plan::compile_suite(&k, suite.iter()).expect("suite compiles").execute(&k),
+                    || {
+                        let plan = Plan::compile_suite(&k, suite.iter()).expect("suite compiles");
+                        plan.execute_with(&k, DiamondMode::Auto).0
+                    },
                     |truths| {
                         let ones: Vec<usize> =
                             truths.iter().map(portnum_graph::bitset::Bitset::count_ones).collect();
@@ -280,7 +293,7 @@ fn bench_eval_snapshot() {
             (
                 "plan_exec_pool",
                 median_us(
-                    || plan.execute_forced_parallel(&k, DiamondMode::Auto).0,
+                    || execute_pinned(&plan, &k, Parallelism::Force),
                     |truths| assert_eq!(truths, reference),
                 ),
             ),
@@ -308,9 +321,7 @@ fn bench_eval_snapshot() {
     let f = workloads::endpoint_diamond();
     let plan = Plan::compile(&k, &f).expect("well-formed case");
     let (reference, stats) = plan.execute_with(&k, portnum_logic::plan::DiamondMode::Auto);
-    if portnum_logic::plan::reverse_override() == portnum_logic::plan::ReverseOverride::Auto {
-        assert_eq!(stats.csc_diamonds, 1, "a sparse diamond must go CSC: {stats:?}");
-    }
+    assert_eq!(stats.csc_diamonds, 1, "a sparse diamond must go CSC: {stats:?}");
     let ones: usize = reference.iter().map(|b| b.count_ones()).sum();
     let huge_cases = [
         (
@@ -355,19 +366,19 @@ fn bench_eval_snapshot() {
         let k = workloads::huge_gnp(n, 6.0 / n as f64, 2012);
         let deep = workloads::nested_diamonds(8);
         let plan = Plan::compile(&k, &deep).expect("well-formed case");
-        let (reference, _) = plan.execute_forced_sequential(&k, DiamondMode::Auto);
+        let reference = execute_pinned(&plan, &k, Parallelism::Off);
         let ones: usize = reference.iter().map(|b| b.count_ones()).sum();
         let seq_median = median_us(
-            || plan.execute_forced_sequential(&k, DiamondMode::Auto).0,
+            || execute_pinned(&plan, &k, Parallelism::Off),
             |truths| assert_eq!(truths, reference),
         );
         let pool_median = median_us(
-            || plan.execute_forced_parallel(&k, DiamondMode::Auto).0,
+            || execute_pinned(&plan, &k, Parallelism::Force),
             |truths| assert_eq!(truths, reference),
         );
         let classes = bisim::refine(&k, BisimStyle::Plain);
         let refine_median = median_us(
-            || bisim::refine_with(&k, BisimStyle::Plain, RefineEngine::Worklist),
+            || bisim::refine(&k, BisimStyle::Plain),
             |c| assert_eq!(c.final_level(), classes.final_level()),
         );
         let million_cases = [
@@ -482,11 +493,12 @@ fn bench_eval_snapshot() {
         let mut samples: Vec<f64> = Vec::new();
         for _ in 0..7 {
             let token = CancelToken::new();
-            let ctl = ExecControl::with_cancel(token.clone());
+            let control = ExecControl::with_cancel(token.clone());
+            let opts = ExecOptions { control, ..ExecOptions::default() };
             let (tx, rx) = std::sync::mpsc::channel();
             std::thread::scope(|s| {
                 s.spawn(|| loop {
-                    match plan.execute_controlled(&k, DiamondMode::Auto, &ctl) {
+                    match plan.execute(&k, &opts) {
                         Ok(_) => continue,
                         Err(_) => {
                             let _ = tx.send(std::time::Instant::now());

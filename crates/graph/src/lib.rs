@@ -21,8 +21,9 @@
 //! * [`refinement`] — colour refinement (1-WL);
 //! * [`partition`] — the partition-refinement engines (full-round
 //!   interned-signature reference + incremental Paige–Tarjan-style
-//!   worklist, selected by `PORTNUM_REFINE`) shared by colour
-//!   refinement and `portnum-logic`'s bisimulation;
+//!   worklist, picked per call by [`partition::RefineEngine`]) shared by
+//!   colour refinement and `portnum-logic`'s bisimulation, and the
+//!   [`partition::Parallelism`] gate shared with the plan executor;
 //! * [`bitset`] — packed `u64`-word truth vectors backing
 //!   `portnum-logic`'s word-parallel model checker;
 //! * [`blocking`] — the shared cache-block geometry (L2-sized world

@@ -6,9 +6,8 @@
 //! initial partition, repeatedly replace each node's block with an
 //! *interned signature* — the previous block plus, per relation, the
 //! (multi)set of successor blocks — until the partition stops changing.
-//! Two engines implement it, selected by the `PORTNUM_REFINE`
-//! environment variable (see [`refine_engine_choice`]) and pinned
-//! against each other by differential tests:
+//! Two engines implement it ([`RefineEngine`]), pinned against each
+//! other by differential tests:
 //!
 //! * [`WorklistRefiner`] (default) — incremental, Paige–Tarjan-style:
 //!   per round only the *dirty frontier* (predecessors of nodes that
@@ -54,19 +53,19 @@
 //! which preserves the first-seen canonical id order of the sequential
 //! engine exactly. Front-ends gate this on a size threshold — waking
 //! the pool costs a few microseconds, which only pays off once a round
-//! encodes a few thousand signature words. The `PORTNUM_POOL`
-//! environment variable overrides the gate (see [`threads_for`]).
+//! encodes a few thousand signature words. [`Parallelism`] is the one
+//! gate vocabulary shared with the plan executor: `Auto` gates on
+//! work, `Force` and `Off` pin the pool on or off for tests and
+//! benches.
 //!
-//! # Environment variables
+//! # Environment variable
 //!
-//! | variable | values | read by |
-//! |----------|--------|---------|
-//! | `PORTNUM_POOL` | `auto` (default) / `force` / `off` | [`threads_for`] — the parallel work gate shared by refinement rounds and plan execution |
-//! | `PORTNUM_REFINE` | `worklist` (default) / `rounds` | [`refine_engine_choice`] — which engine drives `bisim::refine*`, 1-WL, and the quotient cache |
-//!
-//! Both are parsed once per process and panic on unrecognised values,
-//! so a typo cannot silently select the default in a CI job that pins
-//! a mode. See `ARCHITECTURE.md` for the full reference.
+//! `PORTNUM_POOL` (`auto` default / `force` / `off`) overrides
+//! [`Parallelism::Auto`] process-wide (see [`threads_for`]) — the only
+//! way a single-core runner drives the pool through code that takes no
+//! options value, such as the serving layer. It is parsed once per
+//! process and panics on an unrecognised value, so a typo cannot
+//! silently select the default. See `ARCHITECTURE.md`.
 
 use crate::csc::CscAdjacency;
 use crate::pool::WorkerPool;
@@ -371,25 +370,49 @@ pub fn encode_threads() -> usize {
     *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// How the `PORTNUM_POOL` environment variable overrides the parallel
-/// work gate, parsed once per process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PoolMode {
-    /// No override: gate on [`PARALLEL_THRESHOLD`].
+/// How a parallel phase resolves its thread count. Shared by the plan
+/// executor and both refinement engines, and parsed from the
+/// `PORTNUM_POOL` environment variable for the process-wide default.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Parallelism {
+    /// The work gate: parallel at or above the calibrated floor
+    /// ([`parallel_floor_words`]), unless `PORTNUM_POOL` overrides it.
+    #[default]
     Auto,
     /// Always parallel (≥ 2 threads even on single-core hosts) — lets
-    /// 1-core CI runners exercise every pool-driven code path.
+    /// 1-core CI runners and differential tests exercise every
+    /// pool-driven code path.
     Force,
     /// Never parallel.
     Off,
 }
 
-fn pool_mode() -> PoolMode {
-    static MODE: OnceLock<PoolMode> = OnceLock::new();
+impl Parallelism {
+    /// Worker threads for a phase doing `work` words of per-call work.
+    /// `Auto` defers to `PORTNUM_POOL` (see [`threads_for`]); `Force`
+    /// and `Off` are taken verbatim.
+    pub fn threads(self, work: usize) -> usize {
+        let resolved = if self == Parallelism::Auto { pool_mode() } else { self };
+        match resolved {
+            Parallelism::Force => encode_threads().max(2),
+            Parallelism::Off => 1,
+            // Static gate first (short-circuit): below it we return
+            // without touching — or lazily constructing — the global
+            // pool that the calibrated floor would consult.
+            Parallelism::Auto if work >= PARALLEL_THRESHOLD && work >= parallel_floor_words() => {
+                encode_threads()
+            }
+            Parallelism::Auto => 1,
+        }
+    }
+}
+
+fn pool_mode() -> Parallelism {
+    static MODE: OnceLock<Parallelism> = OnceLock::new();
     *MODE.get_or_init(|| match std::env::var("PORTNUM_POOL").as_deref() {
-        Ok("force") => PoolMode::Force,
-        Ok("off") => PoolMode::Off,
-        Ok("auto") | Err(_) => PoolMode::Auto,
+        Ok("force") => Parallelism::Force,
+        Ok("off") => Parallelism::Off,
+        Ok("auto") | Err(_) => Parallelism::Auto,
         // A typo (e.g. "forced") silently falling back to Auto would
         // defeat the CI step that forces the pool on — fail loudly.
         Ok(other) => panic!("unrecognised PORTNUM_POOL value {other:?} (use force, off, or auto)"),
@@ -432,20 +455,7 @@ pub fn parallel_floor_words() -> usize {
 /// `force` always parallelises (with at least 2 threads, so single-core
 /// CI runners still drive the pool), `off` never does.
 pub fn threads_for(work: usize) -> usize {
-    match pool_mode() {
-        PoolMode::Force => encode_threads().max(2),
-        PoolMode::Off => 1,
-        PoolMode::Auto => {
-            // Static gate first (short-circuit): below it we return
-            // without touching — or lazily constructing — the global
-            // pool that the calibrated floor would consult.
-            if work >= PARALLEL_THRESHOLD && work >= parallel_floor_words() {
-                encode_threads()
-            } else {
-                1
-            }
-        }
-    }
+    Parallelism::Auto.threads(work)
 }
 
 /// Splits `0..n` into at most `threads` contiguous ranges at quantiles
@@ -574,14 +584,13 @@ where
     });
 }
 
-/// Which refinement engine drives the high-level front-ends
-/// (`bisim::refine*`, 1-WL [`crate::refinement::color_refinement`]).
+/// Which refinement engine drives a refinement front-end
+/// (`bisim::refine_with`, 1-WL [`crate::refinement::color_refinement`]).
 ///
-/// Selected once per process via the `PORTNUM_REFINE` environment
-/// variable (`worklist` — the default — or `rounds`); see
-/// [`refine_engine_choice`]. The two engines produce identical
-/// partitions at every depth (proptest-pinned), so the knob is a
-/// performance/debugging switch, not a semantic one.
+/// The two engines produce identical partitions at every depth
+/// (proptest-pinned); production paths always run the worklist engine,
+/// and the full-round engine survives as the differential-testing and
+/// benchmarking oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefineEngine {
     /// Incremental worklist refinement ([`WorklistRefiner`]): each round
@@ -590,22 +599,6 @@ pub enum RefineEngine {
     /// The full-round engine: every node re-signed every round. Kept as
     /// the differential-testing reference.
     Rounds,
-}
-
-/// How the `PORTNUM_REFINE` environment variable selects the refinement
-/// engine, parsed once per process: `worklist` (default) or `rounds`.
-///
-/// Like `PORTNUM_POOL`, a typo fails loudly instead of silently falling
-/// back — a CI job pinning one engine must not quietly run the other.
-pub fn refine_engine_choice() -> RefineEngine {
-    static CHOICE: OnceLock<RefineEngine> = OnceLock::new();
-    *CHOICE.get_or_init(|| match std::env::var("PORTNUM_REFINE").as_deref() {
-        Ok("rounds") => RefineEngine::Rounds,
-        Ok("worklist") | Err(_) => RefineEngine::Worklist,
-        Ok(other) => {
-            panic!("unrecognised PORTNUM_REFINE value {other:?} (use worklist or rounds)")
-        }
-    })
 }
 
 /// Borrowed CSR rows of one relation: successors of node `v` are
@@ -682,11 +675,11 @@ pub fn encode_work(bounds: &[usize], index: &[(u64, &[u32])], v: usize) -> usize
     1 + index[bounds[v]..bounds[v + 1]].iter().map(|&(_, row)| 2 + row.len()).sum::<usize>()
 }
 
-/// Observability counters of a [`WorklistRefiner`] run.
+/// Observability counters of a refinement run.
 ///
 /// `encoded` is the *touched-world* counter: the total number of
-/// signature encodes across all rounds. The full-round engine would
-/// count exactly `n · rounds`; the point of the worklist engine is that
+/// signature encodes across all rounds. The full-round engine counts
+/// exactly `n · rounds`; the point of the worklist engine is that
 /// on long-diameter models `encoded` stays O(n + edges) — a unit test
 /// pins `encoded = o(n · rounds)` on path graphs.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -696,6 +689,8 @@ pub struct RefineStats {
     /// Signatures encoded (worlds touched) across all rounds.
     pub encoded: usize,
     /// Block reassignments (worlds moved to a freshly split block).
+    /// Counted by the worklist engine only; the full-round engine
+    /// reports 0.
     pub moved: usize,
     /// Rounds whose encode phase ran on the worker pool.
     pub parallel_rounds: usize,
@@ -925,7 +920,7 @@ impl std::fmt::Debug for SharedPreds<'_> {
 /// grouped sequentially in node order afterwards) — independent
 /// splitters' dirty ranges encode in parallel. `PORTNUM_POOL=force|off`
 /// overrides the gate (see [`threads_for`]), and
-/// [`WorklistRefiner::force_parallel`] pins it for differential tests.
+/// [`WorklistRefiner::set_parallelism`] pins it for differential tests.
 ///
 /// # Usage
 ///
@@ -949,7 +944,7 @@ impl std::fmt::Debug for SharedPreds<'_> {
 pub struct WorklistRefiner<'a> {
     n: usize,
     counting: Counting,
-    force_parallel: bool,
+    parallelism: Parallelism,
     /// Whether per-round level semantics are observed (default). When
     /// off, the next frontier is left in discovery order instead of
     /// being sorted into node order — see
@@ -1115,7 +1110,7 @@ impl<'a> WorklistRefiner<'a> {
         WorklistRefiner {
             n,
             counting,
-            force_parallel: false,
+            parallelism: Parallelism::Auto,
             observe_levels: true,
             relations: relations.to_vec(),
             row_bounds,
@@ -1179,11 +1174,12 @@ impl<'a> WorklistRefiner<'a> {
         self.shared_preds = Some(SharedPreds { source: Box::new(source) });
     }
 
-    /// Forces every round's encode phase onto the worker pool regardless
-    /// of frontier size — the differential-test knob pinning the
-    /// pool-driven path bit-identical to the sequential one.
-    pub fn force_parallel(&mut self, on: bool) {
-        self.force_parallel = on;
+    /// Sets how each round's encode phase resolves its thread count
+    /// (default [`Parallelism::Auto`], the work gate). `Force` is the
+    /// differential-test knob pinning the pool-driven path bit-identical
+    /// to the sequential one.
+    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
+        self.parallelism = parallelism;
     }
 
     /// Switches per-round level bookkeeping off (or back on) for
@@ -1278,12 +1274,7 @@ impl<'a> WorklistRefiner<'a> {
         // grouping walks them in node order, so group creation order —
         // and therefore every downstream id — is identical either way.
         let total_work: usize = self.dirty.iter().map(|&w| self.node_work[w as usize]).sum();
-        let threads = if self.force_parallel {
-            encode_threads().max(2)
-        } else {
-            threads_for(total_work)
-        };
-        let threads = threads.clamp(1, self.dirty.len());
+        let threads = self.parallelism.threads(total_work).clamp(1, self.dirty.len());
         self.round.groups.clear();
         self.round.table.clear();
         self.round.touched.clear();
@@ -1754,7 +1745,7 @@ mod tests {
         for counting in [Counting::Distinct, Counting::Multiset] {
             let mut seq = WorklistRefiner::new(n, &[rel], counting, seeds.iter().copied());
             let mut par = WorklistRefiner::new(n, &[rel], counting, seeds.iter().copied());
-            par.force_parallel(true);
+            par.set_parallelism(Parallelism::Force);
             let (mut ls, mut lp) = (Vec::new(), Vec::new());
             loop {
                 let (cs, cp) = (seq.round(), par.round());
@@ -1839,11 +1830,7 @@ mod tests {
         // process's environment carries, so a typo in a matrix entry
         // fails the suite here instead of silently testing the default.
         let _ = threads_for(0);
-        let _ = refine_engine_choice();
-        // Resilience knobs: PORTNUM_DEADLINE_MS / PORTNUM_MAX_*_WORDS
-        // (panic on non-integer values) and PORTNUM_FAILPOINTS (panics
-        // on malformed site=action specs).
-        let _ = ExecControl::from_env();
+        // PORTNUM_FAILPOINTS panics on malformed site=action specs.
         fail::setup_from_env();
     }
 

@@ -11,10 +11,10 @@
 //! ([`crate::partition::WorklistRefiner`]) re-colours only nodes whose
 //! neighbourhood colours can have changed (the dirty frontier —
 //! predecessors of nodes that split off last round), which turns
-//! near-stable rounds from Θ(n) into O(changed); `PORTNUM_REFINE=rounds`
-//! selects the full-round reference engine, in which a node's next
-//! colour is the interned word sequence `(prev colour, multiset of
-//! neighbour colours)` assigned dense first-seen ids. Both engines
+//! near-stable rounds from Θ(n) into O(changed). The full-round
+//! reference engine, in which a node's next colour is the interned word
+//! sequence `(prev colour, multiset of neighbour colours)` assigned
+//! dense first-seen ids, is kept as this module's test oracle. Both engines
 //! produce identical levels (differentially tested), use the same ids
 //! and stability criterion that `portnum-logic` uses for
 //! (g-)bisimulation — so the two notions are comparable level by level —
@@ -27,8 +27,8 @@
 
 use crate::graph::{Graph, NodeId};
 use crate::partition::{
-    parallel_encode_weighted, refine_engine_choice, threads_for, Counting, RefineEngine,
-    Refiner, RelationCsr, SignatureBuffer, WorklistRefiner,
+    parallel_encode_weighted, threads_for, Counting, Parallelism, RefineEngine, Refiner,
+    RelationCsr, SignatureBuffer, WorklistRefiner,
 };
 
 /// Per-round colour classes: `levels[t][v]` is node `v`'s colour after `t`
@@ -197,7 +197,7 @@ fn graph_csr(g: &Graph) -> (Vec<usize>, Vec<u32>) {
 fn worklist_coloring(
     g: &Graph,
     bound: Option<usize>,
-    force_parallel: bool,
+    parallelism: Parallelism,
 ) -> (ColorClasses, Option<usize>) {
     let (offsets, targets) = graph_csr(g);
     let rel = RelationCsr { offsets: &offsets, targets: &targets };
@@ -207,7 +207,7 @@ fn worklist_coloring(
         Counting::Multiset,
         g.nodes().map(|v| g.degree(v) as u64),
     );
-    refiner.force_parallel(force_parallel);
+    refiner.set_parallelism(parallelism);
     let mut level = Vec::new();
     refiner.canonical_level_into(&mut level);
     let mut levels = vec![level.clone()];
@@ -236,10 +236,7 @@ fn worklist_coloring(
 /// Runs colour refinement for exactly `rounds` rounds (even past the
 /// stable point — use [`stable_coloring`] to stop at the fixpoint).
 ///
-/// Rounds run on the engine selected by `PORTNUM_REFINE` (see
-/// [`refine_engine_choice`]): the incremental worklist engine by
-/// default, the full-round reference with `PORTNUM_REFINE=rounds`.
-/// Both produce identical levels.
+/// Rounds run on the incremental worklist engine.
 ///
 /// # Examples
 ///
@@ -251,15 +248,14 @@ fn worklist_coloring(
 /// assert_eq!(c.class_count(5), 1);
 /// ```
 pub fn color_refinement(g: &Graph, rounds: usize) -> ColorClasses {
-    color_refinement_with(g, rounds, refine_engine_choice())
+    color_refinement_with(g, rounds, RefineEngine::Worklist)
 }
 
-/// [`color_refinement`] pinned to a specific engine — the differential
-/// testing and benchmarking hook; use [`color_refinement`] elsewhere.
-#[doc(hidden)]
-pub fn color_refinement_with(g: &Graph, rounds: usize, engine: RefineEngine) -> ColorClasses {
+/// [`color_refinement`] pinned to a specific engine — the full-round
+/// engine is the differential oracle of this module's tests.
+fn color_refinement_with(g: &Graph, rounds: usize, engine: RefineEngine) -> ColorClasses {
     if engine == RefineEngine::Worklist {
-        return worklist_coloring(g, Some(rounds), false).0;
+        return worklist_coloring(g, Some(rounds), Parallelism::Auto).0;
     }
     let mut state = RoundState::for_graph(g);
     let mut levels = Vec::with_capacity(rounds + 1);
@@ -278,18 +274,17 @@ pub fn color_refinement_with(g: &Graph, rounds: usize, engine: RefineEngine) -> 
 /// instead of running a fixed `n` rounds, so highly symmetric graphs
 /// (which stabilise in O(1) rounds) cost O(1) rounds. The returned
 /// [`ColorClasses`] contains levels `0..=round + 1` (the last two levels
-/// are equal, witnessing stability). The engine is selected by
-/// `PORTNUM_REFINE` exactly as for [`color_refinement`].
+/// are equal, witnessing stability). Runs on the worklist engine, like
+/// [`color_refinement`].
 pub fn stable_coloring(g: &Graph) -> (ColorClasses, usize) {
-    stable_coloring_with(g, refine_engine_choice())
+    stable_coloring_with(g, RefineEngine::Worklist)
 }
 
-/// [`stable_coloring`] pinned to a specific engine — the differential
-/// testing and benchmarking hook; use [`stable_coloring`] elsewhere.
-#[doc(hidden)]
-pub fn stable_coloring_with(g: &Graph, engine: RefineEngine) -> (ColorClasses, usize) {
+/// [`stable_coloring`] pinned to a specific engine, like
+/// [`color_refinement_with`].
+fn stable_coloring_with(g: &Graph, engine: RefineEngine) -> (ColorClasses, usize) {
     if engine == RefineEngine::Worklist {
-        let (classes, round) = worklist_coloring(g, None, false);
+        let (classes, round) = worklist_coloring(g, None, Parallelism::Auto);
         return (classes, round.expect("unbounded run reports its stable round"));
     }
     let mut state = RoundState::for_graph(g);
@@ -472,8 +467,8 @@ mod tests {
     #[test]
     fn worklist_forced_parallel_coloring_matches_sequential() {
         for g in [generators::grid(6, 5), generators::path(40)] {
-            let (seq, seq_round) = worklist_coloring(&g, None, false);
-            let (par, par_round) = worklist_coloring(&g, None, true);
+            let (seq, seq_round) = worklist_coloring(&g, None, Parallelism::Off);
+            let (par, par_round) = worklist_coloring(&g, None, Parallelism::Force);
             assert_eq!(seq_round, par_round);
             assert_eq!(seq.levels, par.levels, "{g}");
         }

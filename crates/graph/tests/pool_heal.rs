@@ -9,20 +9,29 @@
 
 use portnum_graph::pool::WorkerPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[test]
 fn dead_workers_are_respawned_and_the_pool_keeps_serving() {
     fail::teardown();
-    let pool = WorkerPool::new(2);
-    assert_eq!(pool.respawn_count(), 0);
-
-    // Workers exit at the loop head after each call while the action is
-    // armed; heal() keeps replacing them at the next run() entry. Every
-    // call must still execute all chunks exactly once throughout.
+    // Arm the action before the pool exists, so every worker — the
+    // first generation included — crosses the `pool-worker` site at its
+    // very first loop head and exits. Arming it later would race the
+    // workers' spin-then-park: a worker that parked before the action
+    // was armed never reaches the site again on an oversubscribed pool
+    // (more workers than spare cores, where `run` never wakes parked
+    // workers), so whether anything died would depend on timing.
     fail::cfg("pool-worker", "return").unwrap();
+    let pool = WorkerPool::new(2);
+    assert_eq!(pool.worker_count(), 2);
+
+    // heal() keeps replacing the dead workers at each run() entry (its
+    // `is_finished` probe needs the exiting thread to have finished,
+    // hence the retry loop). Every call must still execute all chunks
+    // exactly once throughout.
+    let deadline = Instant::now() + Duration::from_secs(30);
     let mut respawned = 0;
-    for _ in 0..200 {
+    while Instant::now() < deadline {
         let hits = AtomicUsize::new(0);
         pool.run(8, &|_| {
             hits.fetch_add(1, Ordering::Relaxed);

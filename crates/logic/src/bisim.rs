@@ -20,11 +20,12 @@
 //!
 //! # Implementation
 //!
-//! Two engines drive the rounds, selected once per process by the
-//! `PORTNUM_REFINE` environment variable (see
-//! [`portnum_graph::partition::refine_engine_choice`]) and
-//! differentially tested to produce identical partitions at every
-//! depth:
+//! Every entry point funnels into [`refine_with`], which takes a
+//! [`RefineOptions`] value: style, depth bound, whether to keep level
+//! history, and an [`ExecControl`]. [`refine`], [`refine_bounded`],
+//! [`refine_fixpoint`] and [`refine_fixpoint_stats`] are one-line
+//! wrappers over it. Two engines drive the rounds, differentially
+//! tested to produce identical partitions at every depth:
 //!
 //! * **Worklist** (default) — the incremental engine of
 //!   [`portnum_graph::partition::WorklistRefiner`]: blocks that split
@@ -33,8 +34,10 @@
 //!   run) are re-signed. Near-stable rounds cost O(changed) instead of
 //!   O(n), which collapses the Θ(n · rounds) bill that long-diameter
 //!   models (paths, deep trees — Θ(n) rounds each) used to pay.
-//! * **Rounds** (`PORTNUM_REFINE=rounds`) — the full-round reference
-//!   engine described below; every world is re-signed every round.
+//! * **Rounds** (`RefineOptions::engine`, hidden) — the full-round
+//!   reference engine described below; every world is re-signed every
+//!   round. No production path selects it: it is the differential
+//!   oracle and the dense-model bench baseline.
 //!
 //! Rounds of the reference engine run on the interned-signature engine
 //! of [`portnum_graph::partition`] (shared with 1-WL colour refinement): a
@@ -79,8 +82,8 @@
 
 use crate::kripke::Kripke;
 use portnum_graph::partition::{
-    encode_threads, encode_work, nonempty_row_index, parallel_encode_weighted,
-    refine_engine_choice, threads_for, Counting, Refiner, SignatureBuffer, WorklistRefiner,
+    encode_work, nonempty_row_index, parallel_encode_weighted, Counting, Parallelism, Refiner,
+    SignatureBuffer, WorklistRefiner,
 };
 use portnum_graph::resilience::{ExecControl, Interrupted};
 pub use portnum_graph::partition::{RefineEngine, RefineStats};
@@ -213,54 +216,112 @@ impl BisimClasses {
     }
 }
 
-/// Runs signature refinement to a fixpoint, keeping every intermediate
-/// level (O(n · depth) memory). Use [`refine_fixpoint`] when only the
-/// final partition matters.
+/// Options for [`refine_with`], the one refinement entry point. Start
+/// from [`RefineOptions::new`] and override fields with struct-update
+/// syntax.
 ///
-/// Rounds run on the engine selected by `PORTNUM_REFINE` (see
-/// [`refine_engine_choice`]): the incremental worklist engine by
-/// default, the full-round reference with `PORTNUM_REFINE=rounds`.
-/// The engines produce identical levels at every depth
-/// (proptest-pinned), differing only in cost: on long-diameter models
-/// the worklist engine touches O(changed) worlds per round instead of
-/// all n.
-pub fn refine(model: &Kripke, style: BisimStyle) -> BisimClasses {
-    refine_impl(model, style, None, true, &ExecControl::unrestricted())
-        .expect("unrestricted refinement cannot be interrupted")
+/// # Examples
+///
+/// ```
+/// use portnum_graph::generators;
+/// use portnum_logic::bisim::{refine_with, BisimStyle, RefineOptions};
+/// use portnum_logic::Kripke;
+///
+/// // One round on a path separates the ends from the interior only.
+/// let k = Kripke::k_mm(&generators::path(9));
+/// let opts = RefineOptions { depth: Some(1), ..RefineOptions::new(BisimStyle::Plain) };
+/// let (classes, stats) = refine_with(&k, &opts).unwrap();
+/// assert_eq!((classes.depth(), stats.rounds), (1, 1));
+/// assert!(classes.equivalent_at(1, 2, 5));
+/// ```
+#[derive(Debug, Clone)]
+pub struct RefineOptions {
+    /// Plain (set) or graded (counting) signatures.
+    pub style: BisimStyle,
+    /// Run at most this many rounds; `None` runs to the fixpoint. A
+    /// depth-`t` result characterises formulas of modal depth `≤ t`.
+    pub depth: Option<usize>,
+    /// Keep every level `0..=depth` (O(n · depth) memory, needed for
+    /// level-indexed queries), or only the final partition (O(n)).
+    pub history: bool,
+    /// The engine that runs the rounds. Both produce identical levels
+    /// at every depth (proptest-pinned); the full-round engine is the
+    /// differential oracle and bench baseline.
+    #[doc(hidden)]
+    pub engine: RefineEngine,
+    /// How each round's encode phase resolves its thread count: the
+    /// work gate, or the pool forced on or off for tests and benches.
+    #[doc(hidden)]
+    pub parallelism: Parallelism,
+    /// Cancel, deadline, and touched-work ceiling, polled at every
+    /// round boundary. The ceiling is priced in encoded signatures
+    /// ([`RefineStats::encoded`]).
+    pub control: ExecControl,
 }
 
-/// Control-aware [`refine`]: polls the [`ExecControl`] at every round
-/// boundary (cancel, deadline, and the touched-work ceiling priced in
-/// encoded signatures — the engines' own `RefineStats::encoded`
-/// currency). On `Err` nothing is returned and nothing was published:
-/// all refinement state is call-local, so a retry is bit-identical to
-/// an uninterrupted run. Cancel-to-return latency is bounded by one
-/// refinement round.
+impl RefineOptions {
+    /// Full-history refinement to the fixpoint in `style`: the worklist
+    /// engine, the work gate, and no control.
+    pub fn new(style: BisimStyle) -> RefineOptions {
+        RefineOptions {
+            style,
+            depth: None,
+            history: true,
+            engine: RefineEngine::Worklist,
+            parallelism: Parallelism::Auto,
+            control: ExecControl::unrestricted(),
+        }
+    }
+}
+
+/// Runs signature refinement as `opts` directs and returns the classes
+/// with the engine's [`RefineStats`].
+///
+/// The worklist engine fills every counter; on long-diameter models it
+/// touches O(changed) worlds per round instead of all n. The full-round
+/// engine fills `rounds`, `encoded` (exactly `n · rounds`) and
+/// `parallel_rounds`; `moved` is counted by the worklist engine only.
+///
+/// Interruption is observed at round boundaries, so cancel-to-return
+/// latency is bounded by one round. On `Err` nothing is returned and
+/// nothing was published: all refinement state is call-local, so a
+/// retry is bit-identical to an uninterrupted run.
 ///
 /// # Errors
 ///
 /// The first [`Interrupted`] observed at a round boundary.
-pub fn refine_controlled(
+pub fn refine_with(
     model: &Kripke,
-    style: BisimStyle,
-    ctl: &ExecControl,
-) -> Result<BisimClasses, Interrupted> {
-    refine_impl(model, style, None, true, ctl)
+    opts: &RefineOptions,
+) -> Result<(BisimClasses, RefineStats), Interrupted> {
+    match opts.engine {
+        RefineEngine::Worklist => refine_worklist(model, opts),
+        RefineEngine::Rounds => refine_rounds(model, opts),
+    }
+}
+
+fn refine_unrestricted(model: &Kripke, opts: &RefineOptions) -> (BisimClasses, RefineStats) {
+    refine_with(model, opts).expect("unrestricted refinement cannot be interrupted")
+}
+
+/// Runs signature refinement to a fixpoint, keeping every intermediate
+/// level (O(n · depth) memory). Use [`refine_fixpoint`] when only the
+/// final partition matters.
+pub fn refine(model: &Kripke, style: BisimStyle) -> BisimClasses {
+    refine_unrestricted(model, &RefineOptions::new(style)).0
 }
 
 /// Runs signature refinement for at most `depth` rounds (the result
 /// characterises formulas of modal depth `≤ depth`).
 pub fn refine_bounded(model: &Kripke, style: BisimStyle, depth: usize) -> BisimClasses {
-    refine_impl(model, style, Some(depth), true, &ExecControl::unrestricted())
-        .expect("unrestricted refinement cannot be interrupted")
+    refine_unrestricted(model, &RefineOptions { depth: Some(depth), ..RefineOptions::new(style) }).0
 }
 
 /// Runs signature refinement to a fixpoint keeping only the final
 /// partition (O(n) memory — no level history).
 ///
 /// The result answers [`BisimClasses::bisimilar`] / final-level queries;
-/// level-indexed queries below the fixpoint depth panic. Like
-/// [`refine`], the engine is selected by `PORTNUM_REFINE`.
+/// level-indexed queries below the fixpoint depth panic.
 ///
 /// # Examples
 ///
@@ -277,82 +338,13 @@ pub fn refine_bounded(model: &Kripke, style: BisimStyle, depth: usize) -> BisimC
 /// assert!(!classes.bisimilar(1, 2));
 /// ```
 pub fn refine_fixpoint(model: &Kripke, style: BisimStyle) -> BisimClasses {
-    refine_impl(model, style, None, false, &ExecControl::unrestricted())
-        .expect("unrestricted refinement cannot be interrupted")
+    refine_fixpoint_stats(model, style).0
 }
 
-/// Runs [`refine_fixpoint`] on the worklist engine and also returns the
-/// engine's [`RefineStats`] — rounds, the touched-world counter
-/// (`encoded`), moves, and how many rounds went parallel. The
-/// full-round engine would encode exactly `n · rounds` signatures; on
-/// long-diameter models `encoded` stays O(n + edges).
+/// [`refine_fixpoint`] that also returns the engine's [`RefineStats`]
+/// (see [`refine_with`]).
 pub fn refine_fixpoint_stats(model: &Kripke, style: BisimStyle) -> (BisimClasses, RefineStats) {
-    refine_worklist(model, style, None, false, false, &ExecControl::unrestricted())
-        .expect("unrestricted refinement cannot be interrupted")
-}
-
-fn refine_impl(
-    model: &Kripke,
-    style: BisimStyle,
-    depth: Option<usize>,
-    keep_levels: bool,
-    ctl: &ExecControl,
-) -> Result<BisimClasses, Interrupted> {
-    match refine_engine_choice() {
-        RefineEngine::Worklist => {
-            Ok(refine_worklist(model, style, depth, keep_levels, false, ctl)?.0)
-        }
-        RefineEngine::Rounds => refine_engine(
-            model,
-            style,
-            depth,
-            keep_levels,
-            threads_for(model.len() + model.relation_entry_count()),
-            ctl,
-        ),
-    }
-}
-
-/// Full-history refinement pinned to a specific engine — the
-/// differential-testing and benchmarking hook; use [`refine`] (which
-/// consults `PORTNUM_REFINE`) everywhere else.
-#[doc(hidden)]
-pub fn refine_with(model: &Kripke, style: BisimStyle, engine: RefineEngine) -> BisimClasses {
-    let ctl = ExecControl::unrestricted();
-    match engine {
-        RefineEngine::Worklist => refine_worklist(model, style, None, true, false, &ctl)
-            .expect("unrestricted refinement cannot be interrupted")
-            .0,
-        RefineEngine::Rounds => refine_engine(
-            model,
-            style,
-            None,
-            true,
-            threads_for(model.len() + model.relation_entry_count()),
-            &ctl,
-        )
-        .expect("unrestricted refinement cannot be interrupted"),
-    }
-}
-
-/// Runs the full-history **round-engine** refinement with the encode
-/// phase forced onto the worker pool regardless of model size. Exists
-/// so tests and benches can pin the pool-driven path against the
-/// sequential one; use [`refine`] and friends everywhere else.
-#[doc(hidden)]
-pub fn refine_forced_parallel(model: &Kripke, style: BisimStyle) -> BisimClasses {
-    refine_engine(model, style, None, true, encode_threads().max(2), &ExecControl::unrestricted())
-        .expect("unrestricted refinement cannot be interrupted")
-}
-
-/// Runs the full-history **worklist** refinement with every round's
-/// encode phase forced onto the worker pool — the differential-test
-/// knob for the frontier-chunked parallel path.
-#[doc(hidden)]
-pub fn refine_worklist_forced_parallel(model: &Kripke, style: BisimStyle) -> BisimClasses {
-    refine_worklist(model, style, None, true, true, &ExecControl::unrestricted())
-        .expect("unrestricted refinement cannot be interrupted")
-        .0
+    refine_unrestricted(model, &RefineOptions { history: false, ..RefineOptions::new(style) })
 }
 
 /// The worklist-engine driver: identical round semantics to
@@ -363,12 +355,9 @@ pub fn refine_worklist_forced_parallel(model: &Kripke, style: BisimStyle) -> Bis
 /// slices, so the engine adds no per-run copies of the model.
 fn refine_worklist(
     model: &Kripke,
-    style: BisimStyle,
-    depth: Option<usize>,
-    keep_levels: bool,
-    force_parallel: bool,
-    ctl: &ExecControl,
+    opts: &RefineOptions,
 ) -> Result<(BisimClasses, RefineStats), Interrupted> {
+    let RefineOptions { style, depth, history: keep_levels, ref control, .. } = *opts;
     let n = model.len();
     let relations = model.relations_csr();
     let mut refiner = WorklistRefiner::new(
@@ -384,7 +373,7 @@ fn refine_worklist(
     // single-relation models literally the same store as the
     // evaluator's CSC diamond path.
     refiner.share_reverse_adjacency(|| model.combined_predecessors_csc());
-    refiner.force_parallel(force_parallel);
+    refiner.set_parallelism(opts.parallelism);
     // Fixpoint-only callers never observe intermediate canonical
     // levels, so the refiner can skip its per-round level bookkeeping
     // (the dirty-order sort); the fixpoint partition is unaffected.
@@ -397,7 +386,7 @@ fn refine_worklist(
     let mut stable = n <= 1;
 
     while depth.is_none_or(|d| rounds < d) {
-        let changed = refiner.round_controlled(ctl)?;
+        let changed = refiner.round_controlled(control)?;
         rounds += 1;
         if keep_levels {
             refiner.canonical_level_into(&mut level);
@@ -488,14 +477,13 @@ pub fn refine_fixpoint_from(
     BisimClasses { style, levels: vec![level], depth: rounds, stable: true }
 }
 
-fn refine_engine(
+/// The full-round engine: every world re-signed every round.
+fn refine_rounds(
     model: &Kripke,
-    style: BisimStyle,
-    depth: Option<usize>,
-    keep_levels: bool,
-    threads: usize,
-    ctl: &ExecControl,
-) -> Result<BisimClasses, Interrupted> {
+    opts: &RefineOptions,
+) -> Result<(BisimClasses, RefineStats), Interrupted> {
+    let RefineOptions { style, depth, history: keep_levels, ref control, .. } = *opts;
+    let threads = opts.parallelism.threads(model.len() + model.relation_entry_count());
     let n = model.len();
     let counting = style.counting();
 
@@ -545,7 +533,7 @@ fn refine_engine(
         // encodes exactly n signatures per round, so `n · rounds` is
         // its cumulative-work currency.
         fail::fail_point!("refine-round");
-        ctl.check_work(n * rounds)?;
+        control.check_work(n * rounds)?;
         refiner.begin_round();
         next.clear();
         if threads > 1 {
@@ -602,7 +590,13 @@ fn refine_engine(
     if !keep_levels {
         levels.push(prev);
     }
-    Ok(BisimClasses { style, levels, depth: rounds, stable })
+    let stats = RefineStats {
+        rounds,
+        encoded: n * rounds,
+        moved: 0,
+        parallel_rounds: if threads > 1 { rounds } else { 0 },
+    };
+    Ok((BisimClasses { style, levels, depth: rounds, stable }, stats))
 }
 
 /// Whether worlds `u` and `v` of one model are (g-)bisimilar.
@@ -631,6 +625,15 @@ pub fn bisimilar_across(
 mod tests {
     use super::*;
     use portnum_graph::{generators, Graph, PortNumbering};
+
+    fn with_engine(
+        k: &Kripke,
+        style: BisimStyle,
+        engine: RefineEngine,
+        parallelism: Parallelism,
+    ) -> BisimClasses {
+        refine_unrestricted(k, &RefineOptions { engine, parallelism, ..RefineOptions::new(style) }).0
+    }
 
     #[test]
     fn cycle_nodes_all_bisimilar() {
@@ -813,8 +816,8 @@ mod tests {
             let p = PortNumbering::random(&g, &mut rng);
             for k in [Kripke::k_mm(&g), Kripke::k_pp(&g, &p), Kripke::k_mp(&g, &p)] {
                 for style in [BisimStyle::Plain, BisimStyle::Graded] {
-                    let wl = refine_with(&k, style, RefineEngine::Worklist);
-                    let rd = refine_with(&k, style, RefineEngine::Rounds);
+                    let wl = refine(&k, style);
+                    let rd = with_engine(&k, style, RefineEngine::Rounds, Parallelism::Auto);
                     assert_eq!(wl.depth(), rd.depth(), "{g} {:?} depth", style);
                     assert_eq!(wl.is_stable(), rd.is_stable());
                     for t in 0..=wl.depth() {
@@ -833,8 +836,8 @@ mod tests {
         });
         let k = Kripke::k_mm(&g);
         for style in [BisimStyle::Plain, BisimStyle::Graded] {
-            let seq = refine_with(&k, style, RefineEngine::Worklist);
-            let par = refine_worklist_forced_parallel(&k, style);
+            let seq = with_engine(&k, style, RefineEngine::Worklist, Parallelism::Off);
+            let par = with_engine(&k, style, RefineEngine::Worklist, Parallelism::Force);
             assert_eq!(seq.depth(), par.depth());
             for t in 0..=seq.depth() {
                 assert_eq!(seq.level(t), par.level(t), "{:?} level {t}", style);

@@ -757,7 +757,7 @@ mod tests {
                 // Whole suite through one shared plan, roots in suite order.
                 let plan =
                     crate::plan::Plan::compile_suite(&k, formulas.iter().map(|(_, f)| f)).unwrap();
-                let truths = plan.execute(&k);
+                let truths = plan.execute_with(&k, crate::plan::DiamondMode::Auto).0;
                 for ((o, psi), truth) in formulas.iter().zip(&truths) {
                     let expected: Vec<bool> =
                         run.outputs().iter().map(|out| out == o).collect();

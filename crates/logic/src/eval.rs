@@ -45,7 +45,7 @@
 use crate::error::LogicError;
 use crate::formula::{Formula, FormulaKind};
 use crate::kripke::Kripke;
-use crate::plan::Plan;
+use crate::plan::{DiamondMode, Plan};
 use portnum_graph::bitset::Bitset;
 use portnum_graph::partition::FxHashMap;
 use std::rc::Rc;
@@ -75,7 +75,8 @@ use std::sync::Arc;
 /// # Ok::<(), portnum_logic::LogicError>(())
 /// ```
 pub fn evaluate_packed(model: &Kripke, formula: &Formula) -> Result<Bitset, LogicError> {
-    Ok(Plan::compile(model, formula)?.execute(model).pop().expect("one root per formula"))
+    let (mut truths, _) = Plan::compile(model, formula)?.execute_with(model, DiamondMode::Auto);
+    Ok(truths.pop().expect("one root per formula"))
 }
 
 /// The recursive, pointer-memoised evaluator — the reference

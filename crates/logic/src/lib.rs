@@ -10,14 +10,16 @@
 //!   of Section 4.3, plus custom models;
 //! * [`evaluate`]/[`evaluate_packed`] — a model checker over packed
 //!   (`u64`-word) truth vectors, compiled per formula into a
-//!   hash-consed [`plan::Plan`] with forward/reverse diamond selection;
+//!   hash-consed [`plan::Plan`] with forward/CSC diamond selection;
 //! * [`plan`] — compiled evaluation plans: suite-level lowering
-//!   ([`plan::Plan::compile_suite`]) and the per-model
+//!   ([`plan::Plan::compile_suite`]), one executor entry point taking an
+//!   options value ([`plan::Plan::execute`] with [`plan::ExecOptions`]),
+//!   and the per-model
 //!   [`plan::ModelChecker`] cache amortising suites formula by formula;
 //! * [`bisim`] — plain and graded bisimulation via partition refinement,
-//!   bounded or to fixpoint (Section 4.2, Fact 1), on the worklist or
-//!   full-round engine (`PORTNUM_REFINE`, see
-//!   [`portnum_graph::partition`]);
+//!   bounded or to fixpoint (Section 4.2, Fact 1), through one entry
+//!   point taking an options value ([`bisim::refine_with`] with
+//!   [`bisim::RefineOptions`]);
 //! * [`characteristic`] — Hennessy–Milner characteristic formulas: the
 //!   converse of Fact 1, one separating formula per inequivalent pair;
 //! * [`quotient`]/[`minimum_base`] — bisimulation quotients (the

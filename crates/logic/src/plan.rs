@@ -68,9 +68,10 @@
 //!   are costed via actual CSC row lengths instead of being forced
 //!   forward.
 //!
-//! Ties break toward forward. The `PORTNUM_REVERSE` environment
-//! variable ([`reverse_override`]) pins Auto's choice for CI (`csc` /
-//! `off`); explicit modes are never overridden.
+//! Ties break toward forward. The cost model is the only input: no
+//! environment variable overrides it, and explicit modes
+//! ([`DiamondMode::Forward`] / [`DiamondMode::Csc`]) are taken
+//! verbatim — the differential suites loop all three modes.
 //!
 //! # Fixpoints
 //!
@@ -132,7 +133,9 @@
 //!
 //! # Parallel execution
 //!
-//! [`Plan::execute`] runs on the persistent worker pool
+//! [`Plan::execute`] takes one [`ExecOptions`] value — diamond mode,
+//! parallelism, and an [`ExecControl`] — and runs on the persistent
+//! worker pool
 //! ([`portnum_graph::pool`]) along two axes, both gated on the shared
 //! work threshold ([`portnum_graph::partition::threads_for`]) so tiny
 //! models stay on the sequential fast path:
@@ -155,10 +158,10 @@
 //! prefetch — a pure traversal-order-and-hint layer.
 //!
 //! Both axes write only per-chunk state, so results are bit-identical
-//! to the sequential engine (proptest-pinned; `execute_forced_parallel`
-//! is the test knob that drives them below the gate, and
-//! `execute_forced_sequential` the converse knob pinning the reference
-//! at sizes the work gate would parallelise).
+//! to the sequential engine (proptest-pinned; [`ExecOptions`]'s hidden
+//! `parallelism` field set to `Force` drives them below the gate, and
+//! `Off` pins the sequential reference at sizes the work gate would
+//! parallelise).
 //!
 //! The gate itself is two-stage: the static word floor
 //! ([`portnum_graph::partition::threads_for`]) plus a floor derived
@@ -182,19 +185,17 @@ use crate::kripke::Kripke;
 use portnum_graph::bitset::{fill_words_from_fn, Bitset};
 use portnum_graph::blocking;
 use portnum_graph::csc::CscAdjacency;
-use portnum_graph::partition::{encode_threads, quantile_ranges, threads_for, FxHashMap};
+use portnum_graph::partition::{encode_threads, quantile_ranges, FxHashMap, Parallelism};
 use portnum_graph::pool::WorkerPool;
 use portnum_graph::resilience::{ExecControl, Interrupted};
 use std::ops::Range;
 use std::rc::Rc;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Strategy selection for diamond instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DiamondMode {
     /// Choose per instruction by the two-way cost model (the default).
-    /// Overridable process-wide via `PORTNUM_REVERSE` — see
-    /// [`reverse_override`].
     #[default]
     Auto,
     /// Always walk the forward CSR rows.
@@ -202,37 +203,6 @@ pub enum DiamondMode {
     /// Always use the CSC gather ([`Kripke::predecessors_csc`]), any
     /// grade, any model size.
     Csc,
-}
-
-/// How the `PORTNUM_REVERSE` environment variable pins
-/// [`DiamondMode::Auto`]'s strategy choice, parsed once per process by
-/// [`reverse_override`]. Explicit modes (`Forward` / `Csc`) are never
-/// overridden — the knob exists so CI can drive the whole default-mode
-/// suite down one diamond implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReverseOverride {
-    /// No override: `Auto` uses the cost model (the default).
-    Auto,
-    /// `Auto` never takes the reverse path (every diamond forward).
-    Off,
-    /// `Auto` evaluates every diamond through the CSC gather.
-    Csc,
-}
-
-/// How `PORTNUM_REVERSE` pins the `Auto` diamond strategy: `csc`,
-/// `off`, or `auto` (default). Parsed once per process; like
-/// `PORTNUM_POOL` and `PORTNUM_REFINE`, an unrecognised value panics —
-/// a CI job pinning one implementation must not silently run another.
-pub fn reverse_override() -> ReverseOverride {
-    static MODE: OnceLock<ReverseOverride> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("PORTNUM_REVERSE").as_deref() {
-        Ok("csc") => ReverseOverride::Csc,
-        Ok("off") => ReverseOverride::Off,
-        Ok("auto") | Err(_) => ReverseOverride::Auto,
-        Ok(other) => {
-            panic!("unrecognised PORTNUM_REVERSE value {other:?} (use csc, off, or auto)")
-        }
-    })
 }
 
 /// One plan instruction; operands are earlier instruction ids.
@@ -376,16 +346,22 @@ impl ExecStats {
     }
 }
 
-/// How the executor resolves thread counts: the two-stage Auto work
-/// gate, forced parallel (tests and benches pinning the pool paths
-/// below the gate), or forced sequential (the benches' reference
-/// timings above it). Orthogonal to [`DiamondMode`]: strategy choice
-/// and parallelisation never influence each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Parallelism {
-    Auto,
-    Force,
-    Off,
+/// Options for [`Plan::execute`], the one executor entry point.
+/// `ExecOptions::default()` is Auto diamonds, the work gate, and no
+/// control.
+#[derive(Debug, Clone, Default)]
+pub struct ExecOptions {
+    /// Diamond strategy.
+    pub mode: DiamondMode,
+    /// How each instruction and DAG level resolves its thread count:
+    /// the two-stage work gate, or the pool forced on or off for tests
+    /// and benches. Orthogonal to [`DiamondMode`]: strategy choice and
+    /// parallelisation never influence each other.
+    #[doc(hidden)]
+    pub parallelism: Parallelism,
+    /// Cancel, deadline, and budget, polled at every instruction (and
+    /// pool chunk) boundary.
+    pub control: ExecControl,
 }
 
 /// One in-progress fixpoint body during lowering: the frame of a µ/ν
@@ -679,7 +655,7 @@ impl Lowerer {
 ///
 /// ```
 /// use portnum_graph::generators;
-/// use portnum_logic::plan::Plan;
+/// use portnum_logic::plan::{ExecOptions, Plan};
 /// use portnum_logic::{Formula, Kripke, ModalIndex};
 ///
 /// let k = Kripke::k_mm(&generators::star(3));
@@ -689,7 +665,7 @@ impl Lowerer {
 /// let plan = Plan::compile_suite(&k, [&a, &b])?;
 /// // …lower to the same instructions.
 /// assert!(plan.stats().instructions < plan.stats().ast_nodes);
-/// let truth = plan.execute(&k);
+/// let (truth, _) = plan.execute(&k, &ExecOptions::default())?;
 /// assert_eq!(truth[0], truth[1]);
 /// # Ok::<(), portnum_logic::LogicError>(())
 /// ```
@@ -721,12 +697,13 @@ impl Plan {
     ///
     /// ```
     /// use portnum_graph::generators;
+    /// use portnum_logic::plan::ExecOptions;
     /// use portnum_logic::{parse, Kripke, Plan};
     ///
     /// // "some neighbour has degree 1" — true exactly at the centre.
     /// let k = Kripke::k_mm(&generators::star(3));
     /// let plan = Plan::compile(&k, &parse("<*,*> q1")?)?;
-    /// let truths = plan.execute(&k);
+    /// let (truths, _) = plan.execute(&k, &ExecOptions::default())?;
     /// assert_eq!(truths[0].iter_ones().collect::<Vec<_>>(), vec![0]);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
@@ -910,36 +887,25 @@ impl Plan {
         self.ops.iter().map(|&op| op_work_for(model, &self.bodies, op)).sum()
     }
 
-    /// Executes with [`DiamondMode::Auto`]; returns one truth vector
-    /// per input formula, in input order. Heavy instructions (and wide
-    /// DAG levels) run on the persistent worker pool — see the module
-    /// docs — while small plans stay on the sequential fast path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `model` has a different number of worlds than the
-    /// model the plan was compiled for (compile and execute against the
-    /// same model).
-    pub fn execute(&self, model: &Kripke) -> Vec<Bitset> {
-        self.execute_with(model, DiamondMode::Auto).0
+    /// Estimated work of one instruction, in the same "words of work"
+    /// currency as the parallel work gate (refinement signature words
+    /// ≈ a few ns each): connectives are word-parallel (`n/64`),
+    /// `Prop` compares one degree per world, diamonds sweep every
+    /// world plus every stored successor pair.
+    fn op_work(&self, model: &Kripke, id: u32) -> usize {
+        op_work_for(model, &self.bodies, self.ops[id as usize])
     }
 
-    /// Executes the plan level by level with the given diamond
-    /// strategy, returning the root truth vectors and the execution
-    /// statistics.
+    /// Executes the plan level by level as `opts` directs; returns one
+    /// truth vector per input formula, in input order, and the
+    /// execution statistics. Heavy instructions (and wide DAG levels)
+    /// run on the persistent worker pool — see the module docs — while
+    /// small plans stay on the sequential fast path.
     ///
-    /// # Panics
-    ///
-    /// See [`Plan::execute`].
-    pub fn execute_with(&self, model: &Kripke, mode: DiamondMode) -> (Vec<Bitset>, ExecStats) {
-        self.execute_impl(model, mode, Parallelism::Auto, &ExecControl::unrestricted())
-            .expect("unrestricted execution cannot be interrupted")
-    }
-
-    /// Control-aware executor: polls `ctl` at every instruction
-    /// boundary (and, through the pool, at every chunk boundary of a
-    /// level-parallel step), so cancel-to-error latency is bounded by
-    /// one instruction/chunk granule. Budget semantics:
+    /// `opts.control` is polled at every instruction boundary (and,
+    /// through the pool, at every chunk boundary of a level-parallel
+    /// step), so cancel-to-error latency is bounded by one
+    /// instruction/chunk granule. Budget semantics:
     ///
     /// * the touched-work ceiling accumulates the executor's
     ///   per-instruction work estimate — the same currency the Auto
@@ -959,71 +925,15 @@ impl Plan {
     ///
     /// # Panics
     ///
-    /// See [`Plan::execute`].
-    pub fn execute_controlled(
+    /// Panics if `model` has a different number of worlds than the
+    /// model the plan was compiled for (compile and execute against the
+    /// same model).
+    pub fn execute(
         &self,
         model: &Kripke,
-        mode: DiamondMode,
-        ctl: &ExecControl,
+        opts: &ExecOptions,
     ) -> Result<(Vec<Bitset>, ExecStats), Interrupted> {
-        self.execute_impl(model, mode, Parallelism::Auto, ctl)
-    }
-
-    /// Runs the executor with every parallel path forced on (both
-    /// chunking axes, regardless of model size). Exists so tests and
-    /// benches can pin the pool-driven executor against the sequential
-    /// one; use [`Plan::execute`] / [`Plan::execute_with`] everywhere
-    /// else.
-    #[doc(hidden)]
-    pub fn execute_forced_parallel(&self, model: &Kripke, mode: DiamondMode) -> (Vec<Bitset>, ExecStats) {
-        self.execute_impl(model, mode, Parallelism::Force, &ExecControl::unrestricted())
-            .expect("unrestricted execution cannot be interrupted")
-    }
-
-    /// Runs the executor with every parallel path forced *off* (one
-    /// thread regardless of work), so benches can measure the
-    /// sequential reference at sizes the Auto work gate would
-    /// parallelise — the counterpart of
-    /// [`Plan::execute_forced_parallel`] on the other side of the
-    /// gate. Bit-identical output to every other mode.
-    #[doc(hidden)]
-    pub fn execute_forced_sequential(
-        &self,
-        model: &Kripke,
-        mode: DiamondMode,
-    ) -> (Vec<Bitset>, ExecStats) {
-        self.execute_impl(model, mode, Parallelism::Off, &ExecControl::unrestricted())
-            .expect("unrestricted execution cannot be interrupted")
-    }
-
-    /// [`Plan::execute_forced_parallel`] with a control — the chaos
-    /// tests drive the pool-backed paths under cancellation with this.
-    #[doc(hidden)]
-    pub fn execute_forced_parallel_controlled(
-        &self,
-        model: &Kripke,
-        mode: DiamondMode,
-        ctl: &ExecControl,
-    ) -> Result<(Vec<Bitset>, ExecStats), Interrupted> {
-        self.execute_impl(model, mode, Parallelism::Force, ctl)
-    }
-
-    /// Estimated work of one instruction, in the same "words of work"
-    /// currency as [`threads_for`]'s gate (refinement signature words
-    /// ≈ a few ns each): connectives are word-parallel (`n/64`),
-    /// `Prop` compares one degree per world, diamonds sweep every
-    /// world plus every stored successor pair.
-    fn op_work(&self, model: &Kripke, id: u32) -> usize {
-        op_work_for(model, &self.bodies, self.ops[id as usize])
-    }
-
-    fn execute_impl(
-        &self,
-        model: &Kripke,
-        mode: DiamondMode,
-        par: Parallelism,
-        ctl: &ExecControl,
-    ) -> Result<(Vec<Bitset>, ExecStats), Interrupted> {
+        let ExecOptions { mode, parallelism, control: ref ctl } = *opts;
         assert_eq!(
             model.len(),
             self.n,
@@ -1039,16 +949,7 @@ impl Plan {
         let parallel_ok = !ctl
             .budget
             .slots_over(self.slot_count * word_len + (encode_threads().max(2) + 1) * word_len);
-        let threads = |work: usize| {
-            if !parallel_ok {
-                return 1;
-            }
-            match par {
-                Parallelism::Off => 1,
-                Parallelism::Force => encode_threads().max(2),
-                Parallelism::Auto => threads_for(work),
-            }
-        };
+        let threads = |work: usize| if parallel_ok { parallelism.threads(work) } else { 1 };
         let mut touched = 0usize;
         let mut stats = ExecStats::default();
         let mut slots: Vec<Bitset> = (0..self.slot_count).map(|_| Bitset::default()).collect();
@@ -1157,6 +1058,17 @@ impl Plan {
         Ok((results, stats))
     }
 
+    /// [`Plan::execute`] with the given diamond strategy, the work gate,
+    /// and no control — the infallible convenience.
+    ///
+    /// # Panics
+    ///
+    /// See [`Plan::execute`].
+    pub fn execute_with(&self, model: &Kripke, mode: DiamondMode) -> (Vec<Bitset>, ExecStats) {
+        self.execute(model, &ExecOptions { mode, ..ExecOptions::default() })
+            .expect("unrestricted execution cannot be interrupted")
+    }
+
     /// Executes one DAG level's instructions concurrently, one pool
     /// chunk per instruction. Sound because the level-aware slot
     /// allocator guarantees the level's destinations are pairwise
@@ -1204,7 +1116,7 @@ impl Plan {
 }
 
 /// Estimated work of one instruction, in the same "words of work"
-/// currency as [`threads_for`]'s gate (refinement signature words
+/// currency as the parallel work gate (refinement signature words
 /// ≈ a few ns each): connectives are word-parallel (`n/64`),
 /// `Prop` compares one degree per world, diamonds sweep every
 /// world plus every stored successor pair. A fixpoint prices at twice
@@ -1597,8 +1509,7 @@ enum DiamondImpl {
 ///   is why the store is built before costing), plus `n/64` for the
 ///   grade-1 zeroing or `n` for the graded counts array.
 ///
-/// Ties break toward forward. `PORTNUM_REVERSE` pins the `Auto` arm
-/// (see [`reverse_override`]); explicit modes are taken verbatim.
+/// Ties break toward forward; explicit modes are taken verbatim.
 fn diamond_impl(
     model: &Kripke,
     mode: DiamondMode,
@@ -1610,37 +1521,32 @@ fn diamond_impl(
     match mode {
         DiamondMode::Forward => DiamondImpl::Forward,
         DiamondMode::Csc => DiamondImpl::Csc,
-        DiamondMode::Auto => match reverse_override() {
-            ReverseOverride::Off => DiamondImpl::Forward,
-            ReverseOverride::Csc => DiamondImpl::Csc,
-            ReverseOverride::Auto => {
-                let n = model.len();
-                let forward_cost = targets_len + n;
-                // CSC cost: the fixed part (row lookups + zeroing or
-                // the counts array) plus the actual predecessor
-                // entries of the satisfying worlds. The summation
-                // stops — and the store is not even built — once the
-                // running cost reaches the forward cost: past that
-                // point forward wins, and a near-full ‖φ‖ would
-                // otherwise pay O(|‖φ‖|) lookups per execution just to
-                // re-learn that.
-                let mut csc_cost = sat.count_ones() + if grade == 1 { n / 64 } else { n };
-                if csc_cost < forward_cost {
-                    let csc = model.predecessors_csc(rel);
-                    for u in sat.iter_ones() {
-                        csc_cost += csc.row_len(u);
-                        if csc_cost >= forward_cost {
-                            break;
-                        }
+        DiamondMode::Auto => {
+            let n = model.len();
+            let forward_cost = targets_len + n;
+            // CSC cost: the fixed part (row lookups + zeroing or the
+            // counts array) plus the actual predecessor entries of the
+            // satisfying worlds. The summation stops — and the store is
+            // not even built — once the running cost reaches the
+            // forward cost: past that point forward wins, and a
+            // near-full ‖φ‖ would otherwise pay O(|‖φ‖|) lookups per
+            // execution just to re-learn that.
+            let mut csc_cost = sat.count_ones() + if grade == 1 { n / 64 } else { n };
+            if csc_cost < forward_cost {
+                let csc = model.predecessors_csc(rel);
+                for u in sat.iter_ones() {
+                    csc_cost += csc.row_len(u);
+                    if csc_cost >= forward_cost {
+                        break;
                     }
                 }
-                if forward_cost <= csc_cost {
-                    DiamondImpl::Forward
-                } else {
-                    DiamondImpl::Csc
-                }
             }
-        },
+            if forward_cost <= csc_cost {
+                DiamondImpl::Forward
+            } else {
+                DiamondImpl::Csc
+            }
+        }
     }
 }
 
@@ -2693,6 +2599,11 @@ mod tests {
     use crate::formula::ModalIndex;
     use portnum_graph::{generators, PortNumbering};
 
+    fn forced_parallel(plan: &Plan, k: &Kripke, mode: DiamondMode) -> (Vec<Bitset>, ExecStats) {
+        let opts = ExecOptions { mode, parallelism: Parallelism::Force, ..ExecOptions::default() };
+        plan.execute(k, &opts).unwrap()
+    }
+
     /// Structurally equal diamond towers sharing no `Arc`s.
     fn unshared_tower(depth: usize) -> Formula {
         let mut f = Formula::prop(2);
@@ -2718,7 +2629,7 @@ mod tests {
                 .or(&Formula::box_(index, &Formula::prop(3)))
                 .and(&Formula::diamond_geq(index, 2, &Formula::prop(2)).not());
             let plan = Plan::compile(k, &f).unwrap();
-            let got = plan.execute(k).pop().unwrap();
+            let got = plan.execute_with(k, DiamondMode::Auto).0.pop().unwrap();
             assert_eq!(got, evaluate_packed_recursive(k, &f).unwrap(), "{:?}", k.variant());
         }
     }
@@ -2798,7 +2709,7 @@ mod tests {
         assert!(plan.stats().slots <= 2, "{:?}", plan.stats());
         assert_eq!(plan.len(), 41);
         assert_eq!(
-            plan.execute(&k).pop().unwrap(),
+            plan.execute_with(&k, DiamondMode::Auto).0.pop().unwrap(),
             evaluate_packed_recursive(&k, &f).unwrap()
         );
     }
@@ -2856,7 +2767,7 @@ mod tests {
         for f in &cases {
             let plan = Plan::compile(&k, f).unwrap();
             assert_eq!(
-                plan.execute(&k).pop().unwrap(),
+                plan.execute_with(&k, DiamondMode::Auto).0.pop().unwrap(),
                 evaluate_packed_recursive(&k, f).unwrap(),
                 "{f}"
             );
@@ -2949,7 +2860,7 @@ mod tests {
         let plan = Plan::compile_suite(&k, []).unwrap();
         assert!(plan.is_empty());
         assert_eq!(plan.root_count(), 0);
-        assert!(plan.execute(&k).is_empty());
+        assert!(plan.execute_with(&k, DiamondMode::Auto).0.is_empty());
 
         let empty = Kripke::from_parts(
             crate::kripke::ModelVariant::MinusMinus,
@@ -2957,7 +2868,7 @@ mod tests {
             std::collections::BTreeMap::new(),
         )
         .unwrap();
-        let truth = Plan::compile(&empty, &Formula::top()).unwrap().execute(&empty);
+        let truth = Plan::compile(&empty, &Formula::top()).unwrap().execute_with(&empty, DiamondMode::Auto).0;
         assert_eq!(truth[0].len(), 0);
     }
 
@@ -2978,18 +2889,8 @@ mod tests {
         Kripke::from_parts(crate::kripke::ModelVariant::MinusMinus, degree, relations).unwrap()
     }
 
-    /// Skips strategy-count pins when `PORTNUM_REVERSE` pins `Auto`
-    /// to one implementation (the CI matrix runs this suite under
-    /// every knob value; output equality is asserted elsewhere).
-    fn auto_is_unpinned() -> bool {
-        reverse_override() == ReverseOverride::Auto
-    }
-
     #[test]
     fn auto_cost_model_counts_the_full_forward_sweep() {
-        if !auto_is_unpinned() {
-            return;
-        }
         // Regression for the Auto crossover: the forward walk costs
         // n + targets.len() (assign_from_fn visits every world, empty
         // row or not), so on this model a reverse path (4 satisfying
@@ -3028,9 +2929,6 @@ mod tests {
 
     #[test]
     fn auto_picks_csc_for_a_hub_of_predecessors() {
-        if !auto_is_unpinned() {
-            return;
-        }
         // One satisfying world with 640 predecessors: the CSC gather
         // walks its row (1 + 640 + 10 = 651 entry ops), the forward
         // sweep visits 640 worlds + 640 pairs (1280).
@@ -3045,9 +2943,6 @@ mod tests {
 
     #[test]
     fn auto_picks_csc_for_an_empty_operand() {
-        if !auto_is_unpinned() {
-            return;
-        }
         // `◇ q_d` where no world has degree `d`: lowering keeps the
         // atom, so the diamond reads an empty ‖φ‖. The CSC gather
         // costs only its n/64 zeroing, far below the forward sweep.
@@ -3068,9 +2963,6 @@ mod tests {
 
     #[test]
     fn auto_picks_csc_on_a_huge_sparse_model() {
-        if !auto_is_unpinned() {
-            return;
-        }
         // A large path with a two-world inner set: the gather touches
         // two predecessor rows where the forward sweep walks all n
         // worlds.
@@ -3088,14 +2980,6 @@ mod tests {
         assert_eq!(out, fwd);
         // ⟨α⟩q₁ holds exactly at the endpoints' neighbours.
         assert_eq!(out[0].iter_ones().collect::<Vec<_>>(), vec![1, n - 2]);
-    }
-
-    #[test]
-    fn reverse_override_knob_parses_or_panics() {
-        // CI's knob matrix relies on unknown values failing loudly at
-        // first use; force the parse under whatever environment this
-        // process carries.
-        let _ = reverse_override();
     }
 
     /// A small suite exercising every op: atoms, boolean structure,
@@ -3220,7 +3104,7 @@ mod tests {
         let plan = Plan::compile(&k, &f).unwrap();
         for mode in [DiamondMode::Auto, DiamondMode::Forward, DiamondMode::Csc] {
             let (seq, seq_stats) = plan.execute_with(&k, mode);
-            let (par, par_stats) = plan.execute_forced_parallel(&k, mode);
+            let (par, par_stats) = forced_parallel(&plan, &k, mode);
             assert_eq!(seq, par, "mode {mode:?}");
             assert_eq!(seq_stats.executed, par_stats.executed);
             assert_eq!(seq_stats.forward_diamonds, par_stats.forward_diamonds);
@@ -3243,7 +3127,7 @@ mod tests {
         }
         let plan = Plan::compile(&k, &f).unwrap();
         let (seq, seq_stats) = plan.execute_with(&k, DiamondMode::Auto);
-        let (par, par_stats) = plan.execute_forced_parallel(&k, DiamondMode::Auto);
+        let (par, par_stats) = forced_parallel(&plan, &k, DiamondMode::Auto);
         assert_eq!(seq, par);
         assert_eq!(seq_stats.executed, par_stats.executed);
         assert!(par_stats.level_parallel_ops >= 8, "{par_stats:?}");
@@ -3259,7 +3143,7 @@ mod tests {
         let f = Formula::diamond(ModalIndex::Any, &Formula::prop(2)); // everything true inside
         let plan = Plan::compile(&k, &f).unwrap();
         let (seq, ss) = plan.execute_with(&k, DiamondMode::Csc);
-        let (par, ps) = plan.execute_forced_parallel(&k, DiamondMode::Csc);
+        let (par, ps) = forced_parallel(&plan, &k, DiamondMode::Csc);
         assert_eq!(seq, par);
         assert_eq!(ss.csc_diamonds, 1);
         assert_eq!(ps.csc_diamonds, 1);
@@ -3268,7 +3152,7 @@ mod tests {
         let none = Formula::diamond(ModalIndex::Any, &Formula::prop(9));
         let plan = Plan::compile(&k, &none).unwrap();
         let (seq, _) = plan.execute_with(&k, DiamondMode::Csc);
-        let (par, _) = plan.execute_forced_parallel(&k, DiamondMode::Csc);
+        let (par, _) = forced_parallel(&plan, &k, DiamondMode::Csc);
         assert_eq!(seq, par);
         assert!(seq[0].none());
         // Graded counting chunks too (per-chunk sparse count maps,
@@ -3277,7 +3161,7 @@ mod tests {
         let graded = Formula::diamond_geq(ModalIndex::Any, 2, &Formula::prop(2));
         let plan = Plan::compile(&k, &graded).unwrap();
         let (seq, ss) = plan.execute_with(&k, DiamondMode::Csc);
-        let (par, ps) = plan.execute_forced_parallel(&k, DiamondMode::Csc);
+        let (par, ps) = forced_parallel(&plan, &k, DiamondMode::Csc);
         assert_eq!(seq, par);
         assert_eq!(ss.csc_diamonds, ps.csc_diamonds);
         assert!(ps.chunked_ops > 0, "graded CSC must shard its counting: {ps:?}");
@@ -3294,7 +3178,7 @@ mod tests {
         let f = Formula::diamond(ModalIndex::Any, &Formula::prop(1)); // leaves satisfy q1
         let plan = Plan::compile(&k, &f).unwrap();
         let (seq, _) = plan.execute_with(&k, DiamondMode::Csc);
-        let (par, ps) = plan.execute_forced_parallel(&k, DiamondMode::Csc);
+        let (par, ps) = forced_parallel(&plan, &k, DiamondMode::Csc);
         assert_eq!(seq, par);
         assert!(ps.chunked_ops > 0, "{ps:?}");
         // Directly: shard one hub row across many chunks and replay
@@ -3354,7 +3238,7 @@ mod tests {
         let plan = Plan::compile_suite(&k, [&f, &f, &f]).unwrap();
         assert_eq!(plan.root_count(), 3);
         assert_eq!(plan.len(), 1);
-        let out = plan.execute(&k);
+        let (out, _) = plan.execute_with(&k, DiamondMode::Auto);
         assert_eq!(out.len(), 3);
         assert_eq!(out[0], out[1]);
         assert_eq!(out[1], out[2]);
@@ -3461,7 +3345,7 @@ mod tests {
         for f in fixpoint_suite() {
             let plan = Plan::compile(&k, &f).unwrap();
             let (seq, seq_stats) = plan.execute_with(&k, DiamondMode::Auto);
-            let (par, par_stats) = plan.execute_forced_parallel(&k, DiamondMode::Auto);
+            let (par, par_stats) = forced_parallel(&plan, &k, DiamondMode::Auto);
             assert_eq!(seq, par, "{f}");
             assert_eq!(seq_stats.executed, par_stats.executed);
             assert_eq!(seq_stats.fixpoint_iters, par_stats.fixpoint_iters, "{f}");

@@ -150,8 +150,11 @@ mod tests {
             let (q, map) = minimum_base(&k);
             let suite = ungraded_samples(3, &indexer);
             // Evaluate the whole suite on both sides through shared plans.
-            let orig = crate::plan::Plan::compile_suite(&k, suite.iter()).unwrap().execute(&k);
-            let quot = crate::plan::Plan::compile_suite(&q, suite.iter()).unwrap().execute(&q);
+            let run = |m: &Kripke| {
+                let plan = crate::plan::Plan::compile_suite(m, suite.iter()).unwrap();
+                plan.execute_with(m, crate::plan::DiamondMode::Auto).0
+            };
+            let (orig, quot) = (run(&k), run(&q));
             for ((f, o), qt) in suite.iter().zip(&orig).zip(&quot) {
                 for (v, &b) in map.iter().enumerate() {
                     assert_eq!(o.get(v), qt.get(b), "{f} at {v}");

@@ -14,8 +14,9 @@
 use portnum_graph::generators;
 use portnum_graph::pool::WorkerPool;
 use portnum_graph::resilience::{CancelToken, ExecControl, InterruptReason};
-use portnum_logic::bisim::{self, BisimStyle};
-use portnum_logic::plan::{DiamondMode, ModelChecker, Plan};
+use portnum_graph::partition::Parallelism;
+use portnum_logic::bisim::{self, BisimStyle, RefineEngine, RefineOptions};
+use portnum_logic::plan::{DiamondMode, ExecOptions, ModelChecker, Plan};
 use portnum_logic::{Formula, Kripke, LogicError, ModalIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,39 +60,38 @@ fn fixpoint_formula() -> Formula {
 /// sites hit — on every invocation) and returning a comparable digest.
 type Query = fn(&ExecControl) -> Result<Vec<u64>, LogicError>;
 
-fn run_plan_seq(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
+/// One plan execution on a fresh chaos model, digested to its words.
+fn run_plan(
+    ctl: &ExecControl,
+    formula: &Formula,
+    mode: DiamondMode,
+    parallelism: Parallelism,
+) -> Result<Vec<u64>, LogicError> {
     let k = chaos_model();
-    let plan = Plan::compile(&k, &query_formula(4))?;
-    let (truths, _) = plan.execute_controlled(&k, DiamondMode::Auto, ctl)?;
+    let plan = Plan::compile(&k, formula)?;
+    let opts = ExecOptions { mode, parallelism, control: ctl.clone() };
+    let (truths, _) = plan.execute(&k, &opts)?;
     Ok(truths.iter().flat_map(|b| b.words().iter().copied()).collect())
+}
+
+fn run_plan_seq(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
+    run_plan(ctl, &query_formula(4), DiamondMode::Auto, Parallelism::Auto)
 }
 
 fn run_plan_pool(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
-    let k = chaos_model();
-    let plan = Plan::compile(&k, &query_formula(4))?;
-    let (truths, _) = plan.execute_forced_parallel_controlled(&k, DiamondMode::Auto, ctl)?;
-    Ok(truths.iter().flat_map(|b| b.words().iter().copied()).collect())
+    run_plan(ctl, &query_formula(4), DiamondMode::Auto, Parallelism::Force)
 }
 
 fn run_plan_csc(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
-    let k = chaos_model();
-    let plan = Plan::compile(&k, &query_formula(2))?;
-    let (truths, _) = plan.execute_controlled(&k, DiamondMode::Csc, ctl)?;
-    Ok(truths.iter().flat_map(|b| b.words().iter().copied()).collect())
+    run_plan(ctl, &query_formula(2), DiamondMode::Csc, Parallelism::Auto)
 }
 
 fn run_fixpoint_seq(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
-    let k = chaos_model();
-    let plan = Plan::compile(&k, &fixpoint_formula())?;
-    let (truths, _) = plan.execute_controlled(&k, DiamondMode::Auto, ctl)?;
-    Ok(truths.iter().flat_map(|b| b.words().iter().copied()).collect())
+    run_plan(ctl, &fixpoint_formula(), DiamondMode::Auto, Parallelism::Auto)
 }
 
 fn run_fixpoint_pool(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
-    let k = chaos_model();
-    let plan = Plan::compile(&k, &fixpoint_formula())?;
-    let (truths, _) = plan.execute_forced_parallel_controlled(&k, DiamondMode::Auto, ctl)?;
-    Ok(truths.iter().flat_map(|b| b.words().iter().copied()).collect())
+    run_plan(ctl, &fixpoint_formula(), DiamondMode::Auto, Parallelism::Force)
 }
 
 fn run_checker(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
@@ -101,12 +101,22 @@ fn run_checker(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
     Ok(truth.words().to_vec())
 }
 
-fn run_refine(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
+/// Full-history refinement of a fresh chaos model on `engine`, digested
+/// to its final level.
+fn refine_on(ctl: &ExecControl, engine: RefineEngine) -> Result<Vec<u64>, LogicError> {
     let k = chaos_model();
-    let classes = bisim::refine_controlled(&k, BisimStyle::Plain, ctl)
-        .map_err(LogicError::Interrupted)?;
-    let level = classes.final_level();
-    Ok(level.iter().map(|&c| c as u64).collect())
+    let opts =
+        RefineOptions { engine, control: ctl.clone(), ..RefineOptions::new(BisimStyle::Plain) };
+    let (classes, _) = bisim::refine_with(&k, &opts)?;
+    Ok(classes.final_level().iter().map(|&c| c as u64).collect())
+}
+
+fn run_refine(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
+    refine_on(ctl, RefineEngine::Worklist)
+}
+
+fn run_refine_rounds(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
+    refine_on(ctl, RefineEngine::Rounds)
 }
 
 /// Every (site, query-that-hits-it) pair of the chaos matrix.
@@ -120,6 +130,7 @@ const MATRIX: &[(&str, Query)] = &[
     ("plan-fixpoint-iter", run_fixpoint_pool as Query),
     ("checker-instr", run_checker as Query),
     ("refine-round", run_refine as Query),
+    ("refine-round", run_refine_rounds as Query),
     ("csc-build", run_plan_csc as Query),
     ("pool-dispatch", run_plan_pool as Query),
     ("pool-chunk", run_plan_pool as Query),
@@ -356,20 +367,28 @@ fn interrupted_refinement_retries_bit_identically() {
     let _g = serial();
     let k = chaos_model();
     let baseline = bisim::refine(&k, BisimStyle::Plain);
-    // Cancel fired from inside round 1: the run errors at the round
-    // boundary, and a retry reproduces the full level history.
-    let token = CancelToken::new();
-    let t = token.clone();
-    fail::cfg_callback("refine-round", move || t.cancel());
-    let err = bisim::refine_controlled(&k, BisimStyle::Plain, &ExecControl::with_cancel(token))
-        .expect_err("path(96) refines over many rounds; the cancel must land");
-    assert_eq!(err.reason, InterruptReason::Cancelled);
-    fail::teardown();
-    let retry = bisim::refine_controlled(&k, BisimStyle::Plain, &ExecControl::unrestricted())
-        .expect("unrestricted retry");
-    assert_eq!(retry.depth(), baseline.depth());
-    for d in 0..=baseline.depth() {
-        assert_eq!(retry.level(d), baseline.level(d), "level {d} diverged");
+    // Both engines carry the `refine-round` site. Cancel fired from
+    // inside round 1: the run errors at the round boundary, and a retry
+    // reproduces the full level history.
+    for engine in [RefineEngine::Worklist, RefineEngine::Rounds] {
+        let token = CancelToken::new();
+        let t = token.clone();
+        fail::cfg_callback("refine-round", move || t.cancel());
+        let opts = RefineOptions {
+            engine,
+            control: ExecControl::with_cancel(token),
+            ..RefineOptions::new(BisimStyle::Plain)
+        };
+        let err = bisim::refine_with(&k, &opts)
+            .expect_err("path(96) refines over many rounds; the cancel must land");
+        assert_eq!(err.reason, InterruptReason::Cancelled, "{engine:?}");
+        fail::teardown();
+        let opts = RefineOptions { engine, ..RefineOptions::new(BisimStyle::Plain) };
+        let (retry, _) = bisim::refine_with(&k, &opts).expect("unrestricted retry");
+        assert_eq!(retry.depth(), baseline.depth(), "{engine:?}");
+        for d in 0..=baseline.depth() {
+            assert_eq!(retry.level(d), baseline.level(d), "{engine:?}: level {d} diverged");
+        }
     }
 }
 
@@ -463,10 +482,11 @@ fn deadline_and_budget_interrupt_long_queries() {
     });
     let plan = Plan::compile(&k, &query_formula(4)).expect("compiles");
     let (seq, stats) = plan
-        .execute_controlled(&k, DiamondMode::Auto, &tight_slots)
+        .execute(&k, &ExecOptions { control: tight_slots, ..ExecOptions::default() })
         .expect("slot budget degrades, never fails");
     assert_eq!(stats.chunked_ops + stats.level_parallel_ops, 0, "degraded run must be sequential");
-    assert_eq!(seq, plan.execute(&k), "degraded run must match the default bits");
+    let (default_bits, _) = plan.execute_with(&k, DiamondMode::Auto);
+    assert_eq!(seq, default_bits, "degraded run must match the default bits");
     // A zero cache-words ceiling answers but publishes nothing.
     let mut checker = ModelChecker::new(&k);
     let no_cache = ExecControl::with_budget(portnum_graph::resilience::ExecBudget {

@@ -8,7 +8,10 @@
 //! subset of it, hence the file-level `dead_code` allowance.
 #![allow(dead_code)]
 
+use portnum_graph::bitset::Bitset;
+use portnum_graph::partition::Parallelism;
 use portnum_graph::{Graph, PortNumbering};
+use portnum_logic::plan::{DiamondMode, ExecOptions, ExecStats, Plan};
 use portnum_logic::{Formula, FormulaKind, Kripke, ModalIndex};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -168,4 +171,17 @@ pub fn deep_clone(f: &Formula) -> Formula {
             Formula::nu(var, &deep_clone(body)).expect("rebuild preserves binder validity")
         }
     }
+}
+
+/// Executes `plan` unrestricted with the pool pinned: `Force` drives
+/// the chunked and level-parallel paths below the work gate, `Off`
+/// runs the sequential reference above it.
+pub fn execute_pinned(
+    plan: &Plan,
+    model: &Kripke,
+    mode: DiamondMode,
+    parallelism: Parallelism,
+) -> (Vec<Bitset>, ExecStats) {
+    let opts = ExecOptions { mode, parallelism, ..ExecOptions::default() };
+    plan.execute(model, &opts).expect("unrestricted execution cannot be interrupted")
 }

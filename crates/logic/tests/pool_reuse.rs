@@ -66,7 +66,7 @@ fn plan_level_execution_reuses_pool_after_chunk_panic() {
     let _g = serial();
     let k = model();
     let plan = Plan::compile(&k, &wide_formula()).expect("compiles");
-    let baseline = plan.execute(&k);
+    let (baseline, _) = plan.execute_with(&k, DiamondMode::Auto);
     let reused = panic_then_reuse(|| plan.execute_with(&k, DiamondMode::Auto).0);
     assert_eq!(reused, baseline);
 }

@@ -11,7 +11,8 @@
 //!   caches, which `Eq` ignores but the checker reads) agrees with a
 //!   from-scratch build;
 //! * a [`ModelChecker`] carried across the script via
-//!   `detach`/`resume` must answer bit-identically to full
+//!   `detach`/`resume`, in each of the three diamond modes, must
+//!   answer bit-identically to full
 //!   recomputation on the rebuilt model — for a GML formula and for a
 //!   µ-fragment formula (against the Kleene reference), so the repair
 //!   of fixpoints and of their consumers is pinned on every variant;
@@ -28,7 +29,11 @@
 
 mod common;
 
-use common::{all_variants, arb_formula_with as arb_formula, arb_graph, arb_mu_formula, ungrade};
+use common::{
+    all_variants, arb_formula_with as arb_formula, arb_graph, arb_mu_formula, execute_pinned,
+    ungrade,
+};
+use portnum_graph::partition::Parallelism;
 use portnum_graph::{generators, Graph, PortNumbering};
 use portnum_logic::plan::{DiamondMode, ModelChecker, Plan};
 use portnum_logic::{
@@ -156,72 +161,76 @@ proptest! {
         let models = all_variants(&g, seed);
         let formulas = [(&f_pp, &m_pp), (&f_mp, &m_mp), (&f_pm, &m_pm), (&f_mm, &m_mm)];
         for (model, (f, m)) in models.into_iter().zip(formulas) {
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-            let mut mirror = Mirror::of(&model);
+            // The repair path's dense fallback evaluates in the
+            // checker's diamond mode, so the script runs once per mode.
+            for mode in [DiamondMode::Auto, DiamondMode::Forward, DiamondMode::Csc] {
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+                let mut mirror = Mirror::of(&model);
 
-            // Warm a checker on the pristine model, then carry its
-            // cache across every step of the script.
-            let mut patched = model.clone();
-            let mut checker = ModelChecker::new(&patched);
-            checker.check(f).unwrap();
-            // The fixpoint alone and consumed by a diamond and boolean
-            // structure, so a re-run fixpoint's flips drive repair
-            // downstream.
-            let dia =
-                model.indices().next().map_or_else(Formula::bottom, |i| Formula::diamond(i, m));
-            let fixpoints = [m.clone(), m.not().and(f).or(&dia)];
-            checker.check_suite(&fixpoints).unwrap();
-            let mut cache = checker.detach();
-            for _ in 0..steps {
-                let delta = random_step(&mut rng, &model, &mut mirror);
-                let touched = patched.apply_delta(&delta).unwrap();
-                let checker = ModelChecker::resume(&patched, cache, &touched);
-                cache = checker.detach();
-            }
-            prop_assert_eq!(patched.version(), steps as u64);
+                // Warm a checker on the pristine model, then carry its
+                // cache across every step of the script.
+                let mut patched = model.clone();
+                let mut checker = ModelChecker::with_mode(&patched, mode);
+                checker.check(f).unwrap();
+                // The fixpoint alone and consumed by a diamond and boolean
+                // structure, so a re-run fixpoint's flips drive repair
+                // downstream.
+                let dia =
+                    model.indices().next().map_or_else(Formula::bottom, |i| Formula::diamond(i, m));
+                let fixpoints = [m.clone(), m.not().and(f).or(&dia)];
+                checker.check_suite(&fixpoints).unwrap();
+                let mut cache = checker.detach();
+                for _ in 0..steps {
+                    let delta = random_step(&mut rng, &model, &mut mirror);
+                    let touched = patched.apply_delta(&delta).unwrap();
+                    let checker = ModelChecker::resume(&patched, cache, &touched);
+                    cache = checker.detach();
+                }
+                prop_assert_eq!(patched.version(), steps as u64);
 
-            // Storage layer: patched model == from-scratch build of
-            // the mirrored rows and degrees.
-            let rebuilt = mirror.build(&model);
-            prop_assert_eq!(
-                &patched, &rebuilt,
-                "patched model diverged from mirror on {:?} after {} steps (graph {})",
-                patched.variant(), steps, g
-            );
-
-            // Checker repair: the carried cache answers bit-identically
-            // to full recomputation on the rebuilt model.
-            let expected = evaluate_packed(&rebuilt, f).unwrap();
-            let mut resumed = ModelChecker::resume(&patched, cache, &[]);
-            prop_assert_eq!(
-                &*resumed.check(f).unwrap(), &expected,
-                "repaired cache diverged on {:?} with {} (graph {})",
-                patched.variant(), f, g
-            );
-            for fm in &fixpoints {
+                // Storage layer: patched model == from-scratch build of
+                // the mirrored rows and degrees.
+                let rebuilt = mirror.build(&model);
                 prop_assert_eq!(
-                    &*resumed.check(fm).unwrap(), &evaluate_packed_recursive(&rebuilt, fm).unwrap(),
-                    "repaired fixpoint diverged on {:?} with {} (graph {})",
-                    patched.variant(), fm, g
+                    &patched, &rebuilt,
+                    "patched model diverged from mirror on {:?} after {} steps (graph {}, {:?})",
+                    patched.variant(), steps, g, mode
+                );
+
+                // Checker repair: the carried cache answers bit-identically
+                // to full recomputation on the rebuilt model.
+                let expected = evaluate_packed(&rebuilt, f).unwrap();
+                let mut resumed = ModelChecker::resume(&patched, cache, &[]);
+                prop_assert_eq!(
+                    &*resumed.check(f).unwrap(), &expected,
+                    "repaired cache diverged on {:?} with {} (graph {}, {:?})",
+                    patched.variant(), f, g, mode
+                );
+                for fm in &fixpoints {
+                    prop_assert_eq!(
+                        &*resumed.check(fm).unwrap(), &evaluate_packed_recursive(&rebuilt, fm).unwrap(),
+                        "repaired fixpoint diverged on {:?} with {} (graph {}, {:?})",
+                        patched.variant(), fm, g, mode
+                    );
+                }
+
+                // Engine parity on patched storage: sequential vs forced
+                // parallel over the post-delta rows.
+                let plan = Plan::compile(&patched, f).unwrap();
+                let (seq, _) = plan.execute_with(&patched, mode);
+                let (par, _) = execute_pinned(&plan, &patched, mode, Parallelism::Force);
+                prop_assert_eq!(&seq, &par);
+
+                // Quotient path: exact for ungraded formulas on the
+                // patched model (quotient repaired across the script).
+                let uf = ungrade(f);
+                let via_quotient = resumed.check_via_quotient(&uf).unwrap();
+                prop_assert_eq!(
+                    via_quotient, evaluate_packed(&rebuilt, &uf).unwrap(),
+                    "quotient answer diverged on {:?} with {} (graph {}, {:?})",
+                    patched.variant(), uf, g, mode
                 );
             }
-
-            // Engine parity on patched storage: sequential vs forced
-            // parallel over the post-delta rows.
-            let plan = Plan::compile(&patched, f).unwrap();
-            let (seq, _) = plan.execute_with(&patched, DiamondMode::Auto);
-            let (par, _) = plan.execute_forced_parallel(&patched, DiamondMode::Auto);
-            prop_assert_eq!(&seq, &par);
-
-            // Quotient path: exact for ungraded formulas on the
-            // patched model (quotient repaired across the script).
-            let uf = ungrade(f);
-            let via_quotient = resumed.check_via_quotient(&uf).unwrap();
-            prop_assert_eq!(
-                via_quotient, evaluate_packed(&rebuilt, &uf).unwrap(),
-                "quotient answer diverged on {:?} with {} (graph {})",
-                patched.variant(), uf, g
-            );
         }
     }
 

@@ -17,7 +17,7 @@
 
 mod common;
 
-use common::{arb_formula_with as arb_formula, arb_graph, deep_clone};
+use common::{arb_formula_with as arb_formula, arb_graph, deep_clone, execute_pinned};
 use portnum_logic::plan::{DiamondMode, ModelChecker, Plan};
 use portnum_logic::{
     evaluate, evaluate_packed, evaluate_packed_recursive, extension, satisfies, Formula,
@@ -26,6 +26,7 @@ use portnum_logic::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use portnum_graph::partition::Parallelism;
 use portnum_graph::PortNumbering;
 
 /// Textbook semantics: unmemoised recursion over `Vec<bool>`.
@@ -159,7 +160,7 @@ proptest! {
             let plan = Plan::compile(model, f).unwrap();
             for mode in [DiamondMode::Auto, DiamondMode::Forward, DiamondMode::Csc] {
                 let (seq, seq_stats) = plan.execute_with(model, mode);
-                let (par, par_stats) = plan.execute_forced_parallel(model, mode);
+                let (par, par_stats) = execute_pinned(&plan, model, mode, Parallelism::Force);
                 prop_assert_eq!(
                     &seq, &par,
                     "variant {:?}, mode {:?}, formula {}", model.variant(), mode, f
@@ -192,7 +193,7 @@ proptest! {
             stats.instructions < stats.ast_nodes,
             "dedup invisible in stats: {:?} for {}", stats, f
         );
-        let truths = plan.execute(&k);
+        let (truths, _) = plan.execute_with(&k, DiamondMode::Auto);
         prop_assert_eq!(&truths[0], &truths[1]);
         prop_assert_eq!(&truths[0], &evaluate_packed_recursive(&k, &f).unwrap());
     }

@@ -11,16 +11,30 @@
 mod common;
 
 use common::arb_graph;
+use portnum_graph::partition::Parallelism;
 use portnum_graph::{Graph, PortNumbering};
 use portnum_logic::bisim::{
-    refine, refine_bounded, refine_fixpoint, refine_fixpoint_stats, refine_forced_parallel,
-    refine_with, refine_worklist_forced_parallel, BisimStyle, RefineEngine,
+    refine, refine_bounded, refine_fixpoint, refine_fixpoint_stats, refine_with, BisimClasses,
+    BisimStyle, RefineEngine, RefineOptions, RefineStats,
 };
 use portnum_logic::{Kripke, ModalIndex};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+
+/// Unrestricted refinement to the fixpoint on a pinned engine and pool
+/// mode, with or without level history.
+fn pinned(
+    model: &Kripke,
+    style: BisimStyle,
+    engine: RefineEngine,
+    parallelism: Parallelism,
+    history: bool,
+) -> (BisimClasses, RefineStats) {
+    let opts = RefineOptions { history, engine, parallelism, ..RefineOptions::new(style) };
+    refine_with(model, &opts).expect("unrestricted refinement cannot be interrupted")
+}
 
 /// Naive reference refinement: all levels, nested-`Vec` signatures.
 fn reference_refine(model: &Kripke, style: BisimStyle, rounds: usize) -> Vec<Vec<usize>> {
@@ -140,15 +154,17 @@ proptest! {
         g in arb_graph(),
         seed in any::<u64>(),
     ) {
-        // The chunked encode + in-order intern path must produce levels
-        // BIT-identical (not just partition-equal) to the sequential
-        // engine, far below the auto-parallel threshold.
+        // The full-round engine's chunked encode + in-order intern path
+        // must produce levels BIT-identical (not just partition-equal)
+        // to its sequential path, far below the auto-parallel threshold.
         let mut rng = StdRng::seed_from_u64(seed);
         let p = PortNumbering::random(&g, &mut rng);
         for model in all_variants(&g, &p) {
             for style in [BisimStyle::Plain, BisimStyle::Graded] {
-                let seq = refine(&model, style);
-                let par = refine_forced_parallel(&model, style);
+                let rounds = RefineEngine::Rounds;
+                let (seq, _) = pinned(&model, style, rounds, Parallelism::Off, true);
+                let (par, par_stats) = pinned(&model, style, rounds, Parallelism::Force, true);
+                prop_assert_eq!(par_stats.parallel_rounds, par_stats.rounds);
                 prop_assert!(par.is_stable());
                 prop_assert_eq!(seq.depth(), par.depth());
                 for t in 0..=seq.depth() {
@@ -170,8 +186,9 @@ proptest! {
         let p = PortNumbering::random(&g, &mut rng);
         for model in all_variants(&g, &p) {
             for style in [BisimStyle::Plain, BisimStyle::Graded] {
-                let wl = refine_with(&model, style, RefineEngine::Worklist);
-                let rd = refine_with(&model, style, RefineEngine::Rounds);
+                let auto = Parallelism::Auto;
+                let (wl, _) = pinned(&model, style, RefineEngine::Worklist, auto, true);
+                let (rd, rd_stats) = pinned(&model, style, RefineEngine::Rounds, auto, true);
                 prop_assert_eq!(wl.depth(), rd.depth(), "variant {:?}", model.variant());
                 prop_assert_eq!(wl.is_stable(), rd.is_stable());
                 for t in 0..=wl.depth() {
@@ -188,6 +205,21 @@ proptest! {
                 prop_assert_eq!(stats.rounds, wl.depth());
                 prop_assert!(stats.encoded >= model.len().min(1));
                 prop_assert!(stats.encoded <= model.len() * stats.rounds.max(1));
+                // The full-round engine re-signs every world every round.
+                prop_assert_eq!(rd_stats.rounds, rd.depth());
+                prop_assert_eq!(rd_stats.encoded, model.len() * rd_stats.rounds);
+                // History-free (fixpoint-only) runs agree across engines:
+                // the worklist engine skips its per-round level
+                // bookkeeping there, which may permute intermediate
+                // labels but never the canonical fixpoint.
+                let (wl_lean, _) = pinned(&model, style, RefineEngine::Worklist, auto, false);
+                let (rd_lean, rd_lean_stats) =
+                    pinned(&model, style, RefineEngine::Rounds, auto, false);
+                prop_assert_eq!(wl_lean.depth(), rd_lean.depth());
+                prop_assert_eq!(wl_lean.is_stable(), rd_lean.is_stable());
+                prop_assert_eq!(wl_lean.final_level(), rd_lean.final_level());
+                prop_assert_eq!(rd_lean.final_level(), rd.final_level());
+                prop_assert_eq!(rd_lean_stats, rd_stats);
             }
         }
     }
@@ -201,8 +233,9 @@ proptest! {
         let p = PortNumbering::random(&g, &mut rng);
         for model in all_variants(&g, &p) {
             for style in [BisimStyle::Plain, BisimStyle::Graded] {
-                let seq = refine_with(&model, style, RefineEngine::Worklist);
-                let par = refine_worklist_forced_parallel(&model, style);
+                let worklist = RefineEngine::Worklist;
+                let (seq, _) = pinned(&model, style, worklist, Parallelism::Off, true);
+                let (par, _) = pinned(&model, style, worklist, Parallelism::Force, true);
                 prop_assert_eq!(seq.depth(), par.depth());
                 for t in 0..=seq.depth() {
                     prop_assert_eq!(
